@@ -352,11 +352,11 @@ impl Engine {
     pub fn prepare_uncached(&self, query: &UnionQuery) -> Result<PreparedQuery, CoreError> {
         let resolved = query.resolve(&self.catalog)?;
         let plan = self.planner.plan_query(&resolved);
-        let mut builder = plan.apply(SamplerBuilder::for_workload(resolved.workload));
+        let mut builder = SamplerBuilder::for_workload(resolved.workload);
         if let (Some(p), Some(mode)) = (resolved.predicate, plan.predicate_mode) {
             builder = builder.predicate(p, mode);
         }
-        let prepared = builder.freeze()?.with_summary(plan.summary());
+        let prepared = builder.freeze_plan(Some(&plan))?;
         Ok(PreparedQuery::from_query_parts(
             query.clone(),
             plan,
@@ -473,10 +473,7 @@ impl PreparedQuery {
     /// [`UnionWorkload`].
     pub fn auto(workload: Arc<UnionWorkload>) -> Result<Self, CoreError> {
         let plan = Planner::default().plan(&workload, crate::query::UnionSemantics::Set);
-        let prepared = plan
-            .apply(SamplerBuilder::for_workload(workload))
-            .freeze()?
-            .with_summary(plan.summary());
+        let prepared = SamplerBuilder::for_workload(workload).freeze_plan(Some(&plan))?;
         Ok(Self::from_parts(plan, prepared))
     }
 
@@ -490,12 +487,12 @@ impl PreparedQuery {
         self.plan.explain()
     }
 
-    /// The resolved configuration summary stamped at freeze time —
-    /// including provenance (rule, size provenance) that a summary
-    /// recomputed from [`Self::plan`] cannot always re-derive after a
-    /// snapshot restore (frozen stats carry no histogram map). This is
-    /// the same summary every [`RunReport`] from this query carries in
-    /// its `config`.
+    /// The resolved configuration summary stamped at freeze time: the
+    /// plan's rule, and the size provenance of the parameters the
+    /// sampler actually consumes (which [`Plan::summary`] reports for
+    /// the planner's probe instead). This is the same summary every
+    /// [`RunReport`] from this query carries in its `config`, and a
+    /// snapshot restore reproduces it.
     pub fn summary(&self) -> &crate::report::PlanSummary {
         self.prepared.summary()
     }

@@ -31,12 +31,18 @@
 //!   strategy selection, predicate push-down, all in one validated
 //!   place; [`SamplerBuilder::freeze`] yields the `Send + Sync`
 //!   [`PreparedSampler`] that mints independent per-thread handles.
+//!   It holds the one plan → prepared path: explicit builds,
+//!   `Strategy::Auto`, [`Engine::prepare`], [`PreparedQuery::auto`],
+//!   and snapshot restore all freeze through it, consuming a single
+//!   parameter value (overlap map, exact join sizes, shared per-join
+//!   samplers, provenance) that the planner's probe or a snapshot
+//!   supplies and estimation completes.
 //! * [`serve`] — [`SamplingService`]: a bounded-queue `std::thread`
 //!   worker pool serving deterministic sampling requests over a shared
 //!   engine.
 //! * [`snapshot`] — engine snapshot persistence: save/restore the
-//!   catalog and every cached prepared query with its frozen estimated
-//!   parameters, so a cold replica serves without re-estimating.
+//!   catalog and every cached prepared query with the parameters its
+//!   freeze consumed, so a cold replica serves without re-estimating.
 //! * [`stream`] — [`SampleStream`], lazy iteration over any built
 //!   sampler.
 //!
@@ -99,6 +105,7 @@ pub mod error;
 pub mod exact;
 pub mod hist_estimator;
 pub mod overlap;
+mod params;
 pub mod planner;
 pub mod predicate_mode;
 pub mod query;

@@ -29,24 +29,21 @@
 use crate::algorithm2::OnlineConfig;
 use crate::bernoulli::DesignationPolicy;
 use crate::cover::CoverStrategy;
-use crate::error::CoreError;
-use crate::hist_estimator::{DegreeMode, HistogramEstimator};
-use crate::overlap::OverlapMap;
+use crate::params::Params;
 use crate::predicate_mode::{can_push_down, PredicateMode};
 use crate::query::{ResolvedQuery, UnionSemantics};
 use crate::report::PlanSummary;
 use crate::session::{Estimator, HistogramOptions, Strategy};
 use crate::walk_estimator::WalkEstimatorConfig;
 use crate::workload::UnionWorkload;
-use std::fmt;
-use std::sync::Arc;
-use suj_join::weights::build_sampler;
-use suj_join::{JoinSampler, WeightKind};
+use suj_join::WeightKind;
 
 /// Cheap statistics the planner gathers before choosing a
 /// configuration: histogram-derived join-size hints and an
 /// overlap-ratio probe (§5's statistics-only estimates — no data is
-/// scanned beyond per-attribute frequency histograms).
+/// scanned beyond per-attribute frequency histograms), refined by
+/// exact join sizes where count tables provide them. A read-only view
+/// over the plan's parameters.
 #[derive(Debug, Clone)]
 pub struct WorkloadStats {
     /// Estimated `|J_j|` per join, when statistics are available.
@@ -63,25 +60,6 @@ pub struct WorkloadStats {
     /// from the Exact-Weight count tables (every member acyclic and
     /// unsaturated) rather than histogram estimates.
     pub exact_sizes: bool,
-    /// The overlap map the probe computed, kept so a plan that selects
-    /// the same histogram estimator can hand it to the builder instead
-    /// of re-estimating.
-    pub(crate) probed_map: Option<OverlapMap>,
-    /// The Exact-Weight samplers the exact-size refinement built (count
-    /// tables + alias arenas), kept so `freeze()` reuses them instead
-    /// of building the same structures a second time.
-    pub(crate) probed_samplers: Option<ProbedSamplers>,
-}
-
-/// Shared per-join samplers riding along on [`WorkloadStats`] from the
-/// planner's exact-size probe into the builder's freeze.
-#[derive(Clone)]
-pub(crate) struct ProbedSamplers(pub(crate) Vec<Arc<dyn JoinSampler>>);
-
-impl fmt::Debug for ProbedSamplers {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ProbedSamplers({})", self.0.len())
-    }
 }
 
 impl WorkloadStats {
@@ -90,28 +68,35 @@ impl WorkloadStats {
     /// [`WorkloadStats::unavailable`] rather than erroring: planning
     /// must always succeed.
     pub fn probe(workload: &UnionWorkload) -> Self {
-        let mut stats = Self::unavailable(workload);
-        if let Ok(map) = HistogramEstimator::with_olken(workload, DegreeMode::Max)
-            .and_then(|est| est.overlap_map())
-        {
-            stats.join_size_hints =
-                Some((0..workload.n_joins()).map(|j| map.join_size(j)).collect());
-            stats.union_size_hint = Some(map.union_size());
-            stats.probed_map = Some(map);
-        }
-        stats
+        Self::of(workload, &Params::probe(workload, true, false))
     }
 
-    /// Statistics rebuilt from a persisted overlap map (snapshot
-    /// restore): the same shape [`probe`](Self::probe) would produce
-    /// for that map, without running any estimator. Note the map a
-    /// snapshot retains was frozen *after* any predicate push-down
-    /// rewrite, so restored hints may describe the rewritten workload.
-    pub(crate) fn from_probed(workload: &UnionWorkload, map: OverlapMap) -> Self {
+    /// The statistics `params` imply: size hints and the union estimate
+    /// read off the overlap map, with exact join sizes (when known)
+    /// replacing the map's and clamping the union estimate into the
+    /// bracket they prove, `[max |Jᵢ|, Σ|Jᵢ|]`. Exact member sizes say
+    /// nothing about overlap, so the map's union figure stays the
+    /// estimate.
+    pub(crate) fn of(workload: &UnionWorkload, params: &Params) -> Self {
         let mut stats = Self::unavailable(workload);
-        stats.join_size_hints = Some((0..map.n()).map(|j| map.join_size(j)).collect());
-        stats.union_size_hint = Some(map.union_size());
-        stats.probed_map = Some(map);
+        let Some(map) = &params.map else {
+            return stats;
+        };
+        let union = map.union_size();
+        match &params.exact_sizes {
+            Some(exact) => {
+                let hints: Vec<f64> = exact.iter().map(|&n| n as f64).collect();
+                let sum: f64 = hints.iter().sum();
+                let max = hints.iter().cloned().fold(0.0f64, f64::max);
+                stats.union_size_hint = Some(union.clamp(max, sum));
+                stats.join_size_hints = Some(hints);
+                stats.exact_sizes = true;
+            }
+            None => {
+                stats.join_size_hints = Some((0..map.n()).map(|j| map.join_size(j)).collect());
+                stats.union_size_hint = Some(union);
+            }
+        }
         stats
     }
 
@@ -135,8 +120,6 @@ impl WorkloadStats {
             total_base_rows,
             n_joins: workload.n_joins(),
             exact_sizes: false,
-            probed_map: None,
-            probed_samplers: None,
         }
     }
 
@@ -295,18 +278,17 @@ impl Planner {
 
     /// Plans a workload under the given union semantics.
     pub fn plan(&self, workload: &UnionWorkload, semantics: UnionSemantics) -> Plan {
-        let mut stats = if self.config.use_statistics {
-            WorkloadStats::probe(workload)
-        } else {
-            WorkloadStats::unavailable(workload)
-        };
         let cyclic = workload
             .joins()
             .iter()
             .any(|j| suj_join::graph::has_graph_cycle(j));
-        if self.config.use_statistics && !cyclic {
-            Self::refine_exact_sizes(&mut stats, workload);
-        }
+        // On an all-acyclic workload the probe also builds the
+        // Exact-Weight samplers once: their count tables yield exact
+        // integer join sizes, and the freeze reuses them instead of
+        // building the same structures a second time.
+        let stats_on = self.config.use_statistics;
+        let params = Params::probe(workload, stats_on, stats_on && !cyclic);
+        let stats = WorkloadStats::of(workload, &params);
         let estimator = self.pick_estimator(&stats);
 
         let (rule, strategy) = if semantics == UnionSemantics::Disjoint {
@@ -386,6 +368,7 @@ impl Planner {
             predicate_mode: None,
             rule,
             stats,
+            params,
         }
     }
 
@@ -404,37 +387,6 @@ impl Planner {
             }));
         }
         plan
-    }
-
-    /// On an all-acyclic workload, builds the Exact-Weight samplers
-    /// once — their count tables yield *exact* integer join sizes — and
-    /// (when the probe's statistics are available to supply overlap
-    /// context) replaces the histogram's size hints with the exact
-    /// figures, clamping the union estimate into its sound bracket
-    /// `[max |Jᵢ|, Σ|Jᵢ|]`. The samplers ride along on the stats so
-    /// `freeze()` reuses their alias arenas instead of building them a
-    /// second time. Skipped entirely when any count saturated `u64`
-    /// (the hints would not be exact) or a sampler failed to build.
-    fn refine_exact_sizes(stats: &mut WorkloadStats, workload: &UnionWorkload) {
-        let built: Result<Vec<Arc<dyn JoinSampler>>, _> = workload
-            .joins()
-            .iter()
-            .map(|j| build_sampler(j.clone(), WeightKind::Exact).map(Arc::from))
-            .collect();
-        let Ok(samplers) = built else { return };
-        let exact: Option<Vec<u64>> = samplers.iter().map(|s| s.size_info().exact).collect();
-        if let (Some(exact), true) = (exact, stats.available()) {
-            let hints: Vec<f64> = exact.iter().map(|&n| n as f64).collect();
-            let sum: f64 = hints.iter().sum();
-            let max = hints.iter().cloned().fold(0.0f64, f64::max);
-            // The union estimate keeps the probe's overlap information
-            // (exact member sizes say nothing about overlap) but is
-            // clamped into the bracket the exact sizes prove.
-            stats.union_size_hint = stats.union_size_hint.map(|u| u.clamp(max, sum));
-            stats.join_size_hints = Some(hints);
-            stats.exact_sizes = true;
-        }
-        stats.probed_samplers = Some(ProbedSamplers(samplers));
     }
 
     /// Estimator for strategies that need parameters up front.
@@ -468,17 +420,12 @@ pub struct Plan {
     pub rule: PlanRule,
     /// The statistics that drove the decision.
     pub stats: WorkloadStats,
+    /// The parameters behind `stats` (the probe's, or a snapshot's),
+    /// lent to the freeze so it pays only for what they lack.
+    pub(crate) params: Params,
 }
 
 impl Plan {
-    /// Applies the planned knobs to a builder (only where the caller
-    /// left them unset, so explicit choices always win). When the plan
-    /// keeps the histogram estimator the probe already ran, the probed
-    /// overlap map rides along so the build does not re-estimate.
-    pub fn apply(&self, builder: crate::session::SamplerBuilder) -> crate::session::SamplerBuilder {
-        builder.apply_plan(self)
-    }
-
     /// The compact configuration record stamped into
     /// [`RunReport::config`](crate::report::RunReport::config).
     pub fn summary(&self) -> PlanSummary {
@@ -490,26 +437,9 @@ impl Plan {
             },
             weights: self.weights.map(weights_label),
             cover: self.cover_strategy.map(cover_label),
-            predicate: self.predicate_mode.map(|m| {
-                match m {
-                    PredicateMode::PushDown => "push-down",
-                    PredicateMode::Reject => "reject",
-                }
-                .to_string()
-            }),
-            sizing: self.sizing_label(),
+            predicate: self.predicate_mode.map(|m| predicate_label(m).to_string()),
+            sizing: self.params.sizing().map(|p| p.label().to_string()),
             rule: Some(self.rule.name().to_string()),
-        }
-    }
-
-    /// Provenance of the join-size figures the decision consumed.
-    fn sizing_label(&self) -> Option<String> {
-        if self.stats.exact_sizes {
-            Some("exact".to_string())
-        } else if self.stats.available() {
-            Some("histogram".to_string())
-        } else {
-            None
         }
     }
 
@@ -568,21 +498,9 @@ impl Plan {
             fmt_opt(self.stats.sum_join_sizes()),
             fmt_opt(self.stats.union_size_hint),
             fmt_opt(self.stats.size_skew()),
-            self.sizing_label().as_deref().unwrap_or("none"),
+            self.params.sizing().map_or("none", |p| p.label()),
         ));
         out
-    }
-
-    /// Builds the planned sampler over a workload (the
-    /// explicit-builder equivalent of this plan).
-    pub fn build(
-        &self,
-        workload: std::sync::Arc<UnionWorkload>,
-    ) -> Result<Box<dyn crate::sampler::UnionSampler + Send>, CoreError> {
-        let builder = crate::session::SamplerBuilder::for_workload(workload);
-        let mut sampler = self.apply(builder).build()?;
-        sampler.report_mut().config = Some(self.summary());
-        Ok(sampler)
     }
 }
 
@@ -605,6 +523,14 @@ pub(crate) fn cover_label(cs: CoverStrategy) -> String {
         CoverStrategy::AscendingSize => "ascending-size",
     }
     .to_string()
+}
+
+/// Stable label for a predicate mode.
+pub(crate) fn predicate_label(mode: PredicateMode) -> &'static str {
+    match mode {
+        PredicateMode::PushDown => "push-down",
+        PredicateMode::Reject => "reject",
+    }
 }
 
 fn fmt_opt(v: Option<f64>) -> String {
@@ -863,7 +789,7 @@ mod tests {
             plan.explain()
         );
         // The samplers built for the probe ride along for freeze reuse.
-        assert!(plan.stats.probed_samplers.is_some());
+        assert_eq!(plan.params.samplers.len(), 2);
     }
 
     #[test]
@@ -871,7 +797,7 @@ mod tests {
         let w = Arc::new(UnionWorkload::new(vec![triangle("t1", 0), triangle("t2", 100)]).unwrap());
         let plan = Planner::default().plan(&w, UnionSemantics::Set);
         assert!(!plan.stats.exact_sizes);
-        assert!(plan.stats.probed_samplers.is_none());
+        assert!(plan.params.samplers.is_empty());
         assert_ne!(plan.summary().sizing.as_deref(), Some("exact"));
     }
 
@@ -879,7 +805,7 @@ mod tests {
     fn without_statistics_skips_exact_size_probe() {
         let plan = Planner::without_statistics().plan(&identical_workload(), UnionSemantics::Set);
         assert!(!plan.stats.exact_sizes);
-        assert!(plan.stats.probed_samplers.is_none());
+        assert!(plan.params.samplers.is_empty());
         assert_eq!(plan.summary().sizing, None);
     }
 }

@@ -32,11 +32,14 @@ pub struct PlanSummary {
     pub cover: Option<String>,
     /// Predicate mode, when a selection predicate is attached.
     pub predicate: Option<String>,
-    /// Provenance of the join-size figures the plan consumed: `exact`
-    /// when every member's size came from the Exact-Weight count tables
-    /// (integer join cardinalities, not estimates), `histogram` when
-    /// the §5 probe supplied them; `None` when no statistics drove the
-    /// decision.
+    /// Provenance of the join-size figures behind the parameters:
+    /// `exact` when every member's size came from the Exact-Weight
+    /// count tables (integer join cardinalities, not estimates) or the
+    /// overlap map is ground truth, else the estimator behind the map
+    /// (`histogram` for the §5 bounds, `walk` for §6 walks); `None`
+    /// when no map was derived (online sampling, or no statistics).
+    /// A [`Plan`](crate::planner::Plan) reports its probe's; a frozen
+    /// pipeline reports the parameters its sampler consumes.
     pub sizing: Option<String>,
     /// The planner rule that selected this configuration, when it came
     /// from [`Strategy::Auto`](crate::session::Strategy) or the
@@ -189,9 +192,10 @@ pub struct RunReport {
     pub update_rounds: u64,
     /// Per-join draw counts (how often each join was selected).
     pub join_draws: Vec<u64>,
-    /// Approximate resident bytes of the prepared artifact's base
-    /// relations (columns + dictionaries + validity bitmaps), stamped
-    /// at instantiation by
+    /// Approximate resident bytes of the prepared artifact — its base
+    /// relations (columns + dictionaries + validity bitmaps) plus every
+    /// per-join sampler's hash indexes, count tables, and alias arenas —
+    /// stamped at instantiation by
     /// [`PreparedSampler`](crate::session::PreparedSampler). A
     /// property of the prepared state, not a counter: `delta_since`
     /// carries it through and `merge` keeps the maximum.

@@ -350,9 +350,9 @@ pub struct ServiceStats {
     /// 99th-percentile per-draw latency across all served requests.
     pub draw_p99: Option<Duration>,
     /// Approximate resident bytes of the largest prepared artifact
-    /// served so far (base-relation columns + dictionaries + validity
-    /// bitmaps — see
-    /// [`Relation::memory_bytes`](suj_storage::Relation::memory_bytes)).
+    /// served so far: base relations plus per-join sampler structures
+    /// (see
+    /// [`PreparedSampler::prepared_bytes`](crate::session::PreparedSampler::prepared_bytes)).
     pub prepared_bytes: u64,
     /// Size of the snapshot the served prepared artifact was restored
     /// from; 0 when everything served so far was frozen in-process.

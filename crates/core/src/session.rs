@@ -56,23 +56,21 @@ use crate::bernoulli::{BernoulliUnionSampler, DesignationPolicy};
 use crate::cover::CoverStrategy;
 use crate::disjoint::DisjointUnionSampler;
 use crate::error::CoreError;
-use crate::exact::full_join_union;
-use crate::hist_estimator::{DegreeMode, HistogramEstimator};
+use crate::hist_estimator::DegreeMode;
 use crate::overlap::OverlapMap;
-use crate::planner::{cover_label, Planner};
+use crate::params::{derive_params, Params, Provenance};
+use crate::planner::{cover_label, predicate_label, weights_label, Plan, Planner};
 use crate::predicate_mode::{push_down, PredicateMode, PredicateSampler};
 use crate::query::UnionSemantics;
 use crate::report::PlanSummary;
 use crate::sampler::UnionSampler;
-use crate::walk_estimator::{walk_warmup, WalkEstimatorConfig};
+use crate::walk_estimator::WalkEstimatorConfig;
 use crate::workload::UnionWorkload;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use suj_join::weights::build_sampler;
 use suj_join::{JoinSampler, JoinSpec, WeightKind};
-use suj_stats::SujRng;
 use suj_storage::Predicate;
 
 /// Histogram-estimator options for the builder.
@@ -176,45 +174,6 @@ pub struct SamplerBuilder {
     estimation_seed: u64,
     max_join_tries: Option<u64>,
     max_cover_retries: Option<u64>,
-    /// An overlap map the planner already computed for this workload
-    /// and estimator; consumed by `build()` instead of re-estimating.
-    /// Only set by [`apply_plan`](Self::apply_plan), and discarded
-    /// when a push-down predicate rewrites the workload.
-    prebuilt_overlap: Option<OverlapMap>,
-    /// Exact-weight per-join samplers the planner already built for
-    /// this workload (count tables + alias arenas); consumed by
-    /// `freeze()` instead of building the same structures again. Like
-    /// `prebuilt_overlap`, discarded when a push-down predicate
-    /// rewrites the workload. Only set by
-    /// [`apply_plan`](Self::apply_plan).
-    prebuilt_samplers: Option<Vec<Arc<dyn JoinSampler>>>,
-    /// Parameters restored from a snapshot; consumed by `freeze()`
-    /// instead of estimating. Unlike `prebuilt_overlap`, restored
-    /// parameters were frozen *after* any push-down rewrite, so they
-    /// survive it. Only set by [`with_restored`](Self::with_restored).
-    restored: Option<FrozenParams>,
-    /// Per-join Exact-Weight artifacts restored from a snapshot;
-    /// `freeze()` revives them through
-    /// [`ExactWeightSampler::from_artifacts`](suj_join::ExactWeightSampler::from_artifacts)
-    /// instead of rebuilding count tables and alias arenas. Frozen
-    /// after any push-down rewrite, so they survive it. Only set by
-    /// [`with_restored_artifacts`](Self::with_restored_artifacts).
-    restored_artifacts: Option<Vec<suj_join::EwArtifacts>>,
-}
-
-/// The estimated parameters a freeze committed to, retained on the
-/// [`PreparedSampler`] so a snapshot can persist them and a restore can
-/// rebuild the identical pipeline without paying estimation again.
-#[derive(Debug, Clone)]
-pub(crate) enum FrozenParams {
-    /// The strategy estimates per handle (online): nothing to persist.
-    None,
-    /// The overlap map the freeze consumed (rejection, Bernoulli, and
-    /// disjoint sampling under map-producing estimators).
-    Map(OverlapMap),
-    /// Exact per-join sizes (disjoint sampling under exact estimation,
-    /// which never builds a full map).
-    Sizes(Vec<f64>),
 }
 
 impl SamplerBuilder {
@@ -231,10 +190,6 @@ impl SamplerBuilder {
             estimation_seed: 0x5eed,
             max_join_tries: None,
             max_cover_retries: None,
-            prebuilt_overlap: None,
-            prebuilt_samplers: None,
-            restored: None,
-            restored_artifacts: None,
         }
     }
 
@@ -249,15 +204,6 @@ impl SamplerBuilder {
     #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
     pub fn estimator(mut self, estimator: Estimator) -> Self {
         self.estimator = Some(estimator);
-        self
-    }
-
-    /// Sets the estimator only if no explicit choice was made — how
-    /// [`Plan::apply`](crate::planner::Plan::apply) fills planned
-    /// values without overriding the caller.
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub fn estimator_if_unset(mut self, estimator: Estimator) -> Self {
-        self.estimator.get_or_insert(estimator);
         self
     }
 
@@ -276,14 +222,6 @@ impl SamplerBuilder {
         self
     }
 
-    /// Sets weights only if no explicit choice was made (see
-    /// [`estimator_if_unset`](Self::estimator_if_unset)).
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub fn weights_if_unset(mut self, weights: WeightKind) -> Self {
-        self.weights.get_or_insert(weights);
-        self
-    }
-
     /// Cover ownership policy for [`Strategy::Rejection`] (default: the
     /// paper's record policy).
     #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
@@ -296,14 +234,6 @@ impl SamplerBuilder {
     #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
     pub fn cover_strategy(mut self, strategy: CoverStrategy) -> Self {
         self.cover_strategy = Some(strategy);
-        self
-    }
-
-    /// Sets the cover ordering only if no explicit choice was made
-    /// (see [`estimator_if_unset`](Self::estimator_if_unset)).
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub fn cover_strategy_if_unset(mut self, strategy: CoverStrategy) -> Self {
-        self.cover_strategy.get_or_insert(strategy);
         self
     }
 
@@ -341,230 +271,16 @@ impl SamplerBuilder {
         self
     }
 
-    /// Fills every knob a [`Plan`](crate::planner::Plan) names that the
-    /// caller left unset (explicit choices always win). When the plan
-    /// keeps the probe's histogram estimator, the probed overlap map is
-    /// attached so `build()` skips the second estimation pass.
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub(crate) fn apply_plan(mut self, plan: &crate::planner::Plan) -> Self {
-        self.strategy = plan.strategy;
-        if let Some(est) = plan.estimator {
-            if self.estimator.is_none() {
-                self.estimator = Some(est);
-                if let (Estimator::Histogram(opts), Some(map)) = (est, &plan.stats.probed_map) {
-                    // The probe ran `with_olken` under `DegreeMode::Max`
-                    // with default options; only that exact
-                    // configuration may reuse its map.
-                    if !opts.exact_size_hints
-                        && opts.zero_weight == 0.0
-                        && opts.degree_mode == DegreeMode::Max
-                    {
-                        self.prebuilt_overlap = Some(map.clone());
-                    }
-                }
-            }
-        }
-        if let Some(w) = plan.weights {
-            self = self.weights_if_unset(w);
-        }
-        if let Some(cs) = plan.cover_strategy {
-            self = self.cover_strategy_if_unset(cs);
-        }
-        // The planner's exact-size refinement already built the
-        // exact-weight samplers (count tables + alias arenas); reuse
-        // them unless the caller pinned a different weight kind.
-        if let Some(probed) = &plan.stats.probed_samplers {
-            if self.weights == Some(WeightKind::Exact) {
-                self.prebuilt_samplers = Some(probed.0.clone());
-            }
-        }
-        self
-    }
-
-    /// Supplies snapshot-restored parameters: `freeze()` consumes them
-    /// instead of estimating (the restore path's "no re-estimation"
-    /// guarantee — [`PreparedSampler::estimation_passes`] stays 0).
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub(crate) fn with_restored(mut self, params: FrozenParams) -> Self {
-        self.restored = Some(params);
-        self
-    }
-
-    /// Supplies snapshot-restored Exact-Weight artifacts: `freeze()`
-    /// revives the per-join samplers from them (validated by
-    /// `from_artifacts`) instead of recomputing count tables and
-    /// rebuilding alias arenas — restored replicas serve without any
-    /// alias build (observable via [`suj_join::alias_builds`]).
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub(crate) fn with_restored_artifacts(mut self, artifacts: Vec<suj_join::EwArtifacts>) -> Self {
-        self.restored_artifacts = Some(artifacts);
-        self
-    }
-
-    /// Estimates an overlap map with the configured estimator.
-    fn estimate(
-        workload: &Arc<UnionWorkload>,
-        estimator: &Estimator,
-        seed: u64,
-    ) -> Result<OverlapMap, CoreError> {
-        match estimator {
-            Estimator::Exact => Ok(full_join_union(workload)?.overlap),
-            Estimator::Histogram(opts) => {
-                let est = if opts.exact_size_hints {
-                    let sizes = workload.exact_join_sizes()?;
-                    HistogramEstimator::new(workload, opts.degree_mode, sizes, opts.zero_weight)?
-                } else if opts.zero_weight != 0.0 {
-                    let hints = workload
-                        .joins()
-                        .iter()
-                        .map(|j| suj_join::bounds::olken_bound(j))
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(CoreError::Join)?;
-                    HistogramEstimator::new(workload, opts.degree_mode, hints, opts.zero_weight)?
-                } else {
-                    HistogramEstimator::with_olken(workload, opts.degree_mode)?
-                };
-                est.overlap_map()
-            }
-            Estimator::Walk(cfg) => {
-                let mut rng = SujRng::seed_from_u64(seed);
-                walk_warmup(workload, cfg, &mut rng)?.overlap_map()
-            }
-        }
-    }
-
-    /// Rejects a knob that the selected strategy cannot honor.
-    fn reject_knob(set: bool, knob: &str, strategy: &str) -> Result<(), CoreError> {
-        if set {
-            Err(CoreError::Invalid(format!(
+    /// Rejects the first set knob: `strategy` cannot honor it, and
+    /// silently ignoring it would hide the caller's mistake.
+    fn reject_knobs(strategy: &str, knobs: &[(bool, &str)]) -> Result<(), CoreError> {
+        match knobs.iter().find(|(set, _)| *set) {
+            Some((_, knob)) => Err(CoreError::Invalid(format!(
                 "`{knob}` does not apply to {strategy}; remove the call or pick a \
                  strategy that uses it"
-            )))
-        } else {
-            Ok(())
+            ))),
+            None => Ok(()),
         }
-    }
-
-    /// The [`PlanSummary`] of the resolved (non-`Auto`) configuration.
-    fn config_summary(&self, rule: Option<String>) -> PlanSummary {
-        let estimator = match self.strategy {
-            Strategy::Online(_) => "online".to_string(),
-            _ => self
-                .estimator
-                .unwrap_or(Estimator::Histogram(HistogramOptions::default()))
-                .to_string(),
-        };
-        let weights = match self.strategy {
-            Strategy::Online(_) => None,
-            _ => Some(crate::planner::weights_label(
-                self.weights.unwrap_or(WeightKind::Exact),
-            )),
-        };
-        let cover = match self.strategy {
-            Strategy::Rejection | Strategy::Online(_) => Some(cover_label(
-                self.cover_strategy.unwrap_or(CoverStrategy::AsGiven),
-            )),
-            _ => None,
-        };
-        let predicate = self.predicate.as_ref().map(|(_, m)| {
-            match m {
-                PredicateMode::PushDown => "push-down",
-                PredicateMode::Reject => "reject",
-            }
-            .to_string()
-        });
-        PlanSummary {
-            strategy: self.strategy.to_string(),
-            estimator,
-            weights,
-            cover,
-            predicate,
-            // The builder records no size provenance of its own; the
-            // planner (freeze_auto / engine) stamps it afterwards.
-            sizing: None,
-            rule,
-        }
-    }
-
-    /// [`Strategy::Auto`]: plan the configuration, fill every knob the
-    /// caller left unset, and freeze through the ordinary explicit path
-    /// (so an `Auto` build is seed-for-seed identical to the explicit
-    /// configuration the planner selected).
-    fn freeze_auto(self) -> Result<PreparedSampler, CoreError> {
-        let plan = Planner::default().plan(&self.workload, UnionSemantics::Set);
-        let rule = plan.rule.name();
-        let planned = plan.strategy.to_string();
-        let sizing = plan.summary().sizing;
-        let mut prepared = self.apply_plan(&plan).freeze().map_err(|e| match e {
-            // A knob the caller pinned can be incompatible with the
-            // strategy the planner picked for *this data*; say so
-            // instead of blaming a strategy the caller never chose.
-            CoreError::Invalid(msg) => CoreError::Invalid(format!(
-                "Strategy::Auto planned `{planned}` (rule {rule}): {msg}"
-            )),
-            other => other,
-        })?;
-        prepared.summary.rule = Some(rule.to_string());
-        prepared.summary.sizing = sizing;
-        Ok(prepared)
-    }
-
-    /// Uses a planner-probed overlap map when present (identical by
-    /// construction to what [`estimate`](Self::estimate) would
-    /// recompute for the same estimator), else estimates and counts the
-    /// pass in `passes` (the estimations-paid counter served workloads
-    /// assert on).
-    fn resolve_map(
-        prebuilt: Option<OverlapMap>,
-        workload: &Arc<UnionWorkload>,
-        estimator: &Estimator,
-        seed: u64,
-        passes: &mut u64,
-    ) -> Result<OverlapMap, CoreError> {
-        match prebuilt {
-            Some(map) => Ok(map),
-            None => {
-                *passes += 1;
-                Self::estimate(workload, estimator, seed)
-            }
-        }
-    }
-
-    /// Per-join samplers built once and shared by every handle the
-    /// frozen pipeline mints ([`JoinSampler`] samples through `&self`).
-    fn shared_samplers(
-        workload: &Arc<UnionWorkload>,
-        weights: WeightKind,
-    ) -> Result<Vec<Arc<dyn JoinSampler>>, CoreError> {
-        workload
-            .joins()
-            .iter()
-            .map(|j| build_sampler(j.clone(), weights).map(Arc::from))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(CoreError::Join)
-    }
-
-    /// Shared samplers for a freeze arm, cheapest source first:
-    /// snapshot-restored samplers (revived from persisted artifacts, no
-    /// alias build), then the planner's probed samplers (identical by
-    /// construction to what [`shared_samplers`](Self::shared_samplers)
-    /// would rebuild), else a fresh build. Both prebuilt sources hold
-    /// exact-weight samplers, so any other weight kind always builds
-    /// fresh.
-    fn resolve_samplers(
-        restored: &mut Option<Vec<Arc<dyn JoinSampler>>>,
-        prebuilt: &mut Option<Vec<Arc<dyn JoinSampler>>>,
-        workload: &Arc<UnionWorkload>,
-        weights: WeightKind,
-    ) -> Result<Vec<Arc<dyn JoinSampler>>, CoreError> {
-        if weights == WeightKind::Exact {
-            if let Some(s) = restored.take().or_else(|| prebuilt.take()) {
-                if s.len() == workload.n_joins() {
-                    return Ok(s);
-                }
-            }
-        }
-        Self::shared_samplers(workload, weights)
     }
 
     /// Validates the configuration, pays parameter estimation and
@@ -572,135 +288,84 @@ impl SamplerBuilder {
     /// [`PreparedSampler`] — a `Send + Sync` artifact that mints any
     /// number of independent sampler handles via
     /// [`instantiate`](PreparedSampler::instantiate).
-    pub fn freeze(mut self) -> Result<PreparedSampler, CoreError> {
-        if let Strategy::Auto = self.strategy {
-            return self.freeze_auto();
-        }
-        let summary = self.config_summary(None);
-        let root_seed = self.estimation_seed;
-        let mut estimation_passes = 0u64;
+    ///
+    /// Under [`Strategy::Auto`] the default [`Planner`] fills every
+    /// knob left unset, then the same path freezes the result, so an
+    /// `Auto` build is seed-for-seed identical to the explicit
+    /// configuration the planner selected.
+    pub fn freeze(self) -> Result<PreparedSampler, CoreError> {
+        let Strategy::Auto = self.strategy else {
+            return self.freeze_plan(None);
+        };
+        let plan = Planner::default().plan(&self.workload, UnionSemantics::Set);
+        self.freeze_plan(Some(&plan)).map_err(|e| match e {
+            // A knob the caller pinned can be incompatible with the
+            // strategy the planner picked for *this data*; say so
+            // instead of blaming a strategy the caller never chose.
+            CoreError::Invalid(msg) => CoreError::Invalid(format!(
+                "Strategy::Auto planned `{}` (rule {}): {msg}",
+                plan.strategy,
+                plan.rule.name()
+            )),
+            other => other,
+        })
+    }
 
-        // A push-down predicate rewrites the workload below, which
-        // invalidates any overlap map probed on the original. Restored
-        // parameters were frozen *after* that rewrite, so they survive
-        // it (the rewrite itself is deterministic).
-        let restored = self.restored.take();
-        let mut prebuilt = match (&restored, &self.predicate) {
-            (Some(FrozenParams::Map(map)), _) => Some(map.clone()),
-            (_, Some((_, PredicateMode::PushDown))) => None,
-            _ => self.prebuilt_overlap.take(),
-        };
-        let mut prebuilt_samplers = match &self.predicate {
-            // Planner-probed samplers were built on the original
-            // workload; a push-down rewrite invalidates them.
-            Some((_, PredicateMode::PushDown)) => None,
-            _ => self.prebuilt_samplers.take(),
-        };
-        let restored_sizes = match restored {
-            Some(FrozenParams::Sizes(sizes)) => Some(sizes),
-            _ => None,
-        };
-        let restored_artifacts = self.restored_artifacts.take();
-
-        // --- Predicate push-down rewrites the workload first. ---
-        let workload = match &self.predicate {
-            Some((p, PredicateMode::PushDown)) => {
-                let filtered: Vec<Arc<JoinSpec>> = self
-                    .workload
-                    .joins()
-                    .iter()
-                    .map(|j| push_down(j, p, &format!("{}__σ", j.name())).map(Arc::new))
-                    .collect::<Result<_, _>>()?;
-                Arc::new(UnionWorkload::new(filtered)?)
-            }
-            _ => self.workload.clone(),
+    /// The one plan → prepared path. `plan` (the planner's, or one
+    /// rebuilt from a snapshot) fills every knob the caller left unset,
+    /// names its rule, and lends its [`Params`]; without a plan, unset
+    /// knobs take their defaults and every parameter is derived fresh.
+    pub(crate) fn freeze_plan(self, plan: Option<&Plan>) -> Result<PreparedSampler, CoreError> {
+        let strategy = plan.map_or(self.strategy, |p| p.strategy);
+        let estimator = self.estimator.or(plan.and_then(|p| p.estimator));
+        let weights = self.weights.or(plan.and_then(|p| p.weights));
+        let cover_strategy = self.cover_strategy.or(plan.and_then(|p| p.cover_strategy));
+        let predicate_mode = match &self.predicate {
+            Some((_, mode)) => Some(*mode),
+            None => plan.and_then(|p| p.predicate_mode),
         };
 
-        // Revive snapshot-restored Exact-Weight samplers from their
-        // persisted artifacts. Artifacts were frozen after any
-        // push-down rewrite, so they line up with the (possibly
-        // rewritten) workload; `from_artifacts` validates every shape
-        // against the spec before serving from them.
-        let mut restored_samplers: Option<Vec<Arc<dyn JoinSampler>>> = match restored_artifacts {
-            Some(artifacts) => {
-                if artifacts.len() != workload.n_joins() {
-                    return Err(CoreError::Invalid(format!(
-                        "restored EW artifacts cover {} joins but the workload has {}",
-                        artifacts.len(),
-                        workload.n_joins()
-                    )));
-                }
-                Some(
-                    workload
-                        .joins()
-                        .iter()
-                        .cloned()
-                        .zip(artifacts)
-                        .map(|(spec, art)| {
-                            suj_join::ExactWeightSampler::from_artifacts(spec, art)
-                                .map(|s| Arc::new(s) as Arc<dyn JoinSampler>)
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(CoreError::Join)?,
-                )
-            }
-            None => None,
+        // Push-down rewrites the workload first; the plan's params
+        // describe the workload as given, so the rewrite discards them.
+        let (workload, reuse) = match &self.predicate {
+            Some((p, PredicateMode::PushDown)) => (push_down_workload(&self.workload, p)?, None),
+            _ => (self.workload.clone(), plan.map(|p| p.params.clone())),
         };
+        let est = estimator.unwrap_or(Estimator::Histogram(HistogramOptions::default()));
+        let seed = self.estimation_seed;
+        let knob_weights = (weights.is_some(), "weights");
+        let knob_policy = (self.cover_policy.is_some(), "cover_policy");
+        let knob_cover = (cover_strategy.is_some(), "cover_strategy");
+        let knob_tries = (self.max_join_tries.is_some(), "max_join_tries");
+        let knob_retries = (self.max_cover_retries.is_some(), "max_cover_retries");
 
-        let (kind, frozen_params) = match self.strategy {
+        let (kind, params, estimation_passes) = match strategy {
             Strategy::Rejection => {
-                let estimator = self
-                    .estimator
-                    .unwrap_or(Estimator::Histogram(HistogramOptions::default()));
-                let map = Self::resolve_map(
-                    prebuilt.take(),
-                    &workload,
-                    &estimator,
-                    self.estimation_seed,
-                    &mut estimation_passes,
-                )?;
                 let defaults = UnionSamplerConfig::default();
                 let config = UnionSamplerConfig {
-                    weights: self.weights.unwrap_or(defaults.weights),
+                    weights: weights.unwrap_or(defaults.weights),
                     policy: self.cover_policy.unwrap_or(defaults.policy),
-                    strategy: self.cover_strategy.unwrap_or(defaults.strategy),
+                    strategy: cover_strategy.unwrap_or(defaults.strategy),
                     max_join_tries: self.max_join_tries.unwrap_or(defaults.max_join_tries),
                     max_cover_retries: self.max_cover_retries.unwrap_or(defaults.max_cover_retries),
                 };
-                let samplers = Self::resolve_samplers(
-                    &mut restored_samplers,
-                    &mut prebuilt_samplers,
-                    &workload,
-                    config.weights,
-                )?;
-                let frozen = FrozenParams::Map(map.clone());
-                (
-                    PreparedKind::Rejection {
-                        samplers,
-                        map,
-                        config,
-                    },
-                    frozen,
-                )
+                let (params, passes) =
+                    derive_params(&workload, &est, config.weights, false, seed, reuse)?;
+                let kind = PreparedKind::Rejection {
+                    samplers: params.samplers.clone(),
+                    map: params.overlap()?.clone(),
+                    config,
+                };
+                (kind, params, passes)
             }
             Strategy::Online(mut config) => {
                 // Algorithm 2 always uses wander-join walks with the
-                // record policy; knobs it cannot honor are errors, not
-                // silent no-ops.
-                Self::reject_knob(self.weights.is_some(), "weights", "Strategy::Online")?;
-                Self::reject_knob(
-                    self.cover_policy.is_some(),
-                    "cover_policy",
-                    "Strategy::Online",
-                )?;
-                Self::reject_knob(
-                    self.max_join_tries.is_some(),
-                    "max_join_tries",
-                    "Strategy::Online",
-                )?;
+                // record policy.
+                let knobs = [knob_weights, knob_policy, knob_tries];
+                Self::reject_knobs("Strategy::Online", &knobs)?;
                 // An explicit Walk estimator configures its warm-up,
                 // anything else is a contradiction worth surfacing.
-                match self.estimator {
+                match estimator {
                     None => {}
                     Some(Estimator::Walk(warmup)) => config.warmup = warmup,
                     Some(_) => {
@@ -717,142 +382,70 @@ impl SamplerBuilder {
                 if let Some(retries) = self.max_cover_retries {
                     config.max_cover_retries = retries;
                 }
-                (
-                    PreparedKind::Online {
-                        config,
-                        cover_strategy: self.cover_strategy.unwrap_or(CoverStrategy::AsGiven),
-                    },
-                    FrozenParams::None,
-                )
+                let kind = PreparedKind::Online {
+                    config,
+                    cover_strategy: cover_strategy.unwrap_or(CoverStrategy::AsGiven),
+                };
+                // Each handle estimates online, by walks: nothing to
+                // derive up front.
+                (kind, Params::new(Provenance::Walk, None, Vec::new()), 0)
             }
             Strategy::Bernoulli(policy) => {
-                Self::reject_knob(
-                    self.cover_policy.is_some(),
-                    "cover_policy",
-                    "Strategy::Bernoulli",
-                )?;
-                Self::reject_knob(
-                    self.cover_strategy.is_some(),
-                    "cover_strategy",
-                    "Strategy::Bernoulli",
-                )?;
-                Self::reject_knob(
-                    self.max_cover_retries.is_some(),
-                    "max_cover_retries",
-                    "Strategy::Bernoulli",
-                )?;
-                let estimator = self
-                    .estimator
-                    .unwrap_or(Estimator::Histogram(HistogramOptions::default()));
-                let map = Self::resolve_map(
-                    prebuilt.take(),
-                    &workload,
-                    &estimator,
-                    self.estimation_seed,
-                    &mut estimation_passes,
-                )?;
-                let sizes: Vec<f64> = (0..workload.n_joins()).map(|j| map.join_size(j)).collect();
-                let samplers = Self::resolve_samplers(
-                    &mut restored_samplers,
-                    &mut prebuilt_samplers,
-                    &workload,
-                    self.weights.unwrap_or(WeightKind::Exact),
-                )?;
-                let union_size = map.union_size();
-                (
-                    PreparedKind::Bernoulli {
-                        samplers,
-                        sizes,
-                        union_size,
-                        policy,
-                        max_join_tries: self.max_join_tries,
-                    },
-                    FrozenParams::Map(map),
-                )
+                let knobs = [knob_policy, knob_cover, knob_retries];
+                Self::reject_knobs("Strategy::Bernoulli", &knobs)?;
+                let weights = weights.unwrap_or(WeightKind::Exact);
+                let (params, passes) = derive_params(&workload, &est, weights, false, seed, reuse)?;
+                let kind = PreparedKind::Bernoulli {
+                    samplers: params.samplers.clone(),
+                    sizes: params.join_sizes()?,
+                    union_size: params.overlap()?.union_size(),
+                    policy,
+                    max_join_tries: self.max_join_tries,
+                };
+                (kind, params, passes)
             }
             Strategy::Disjoint => {
-                Self::reject_knob(
-                    self.cover_policy.is_some(),
-                    "cover_policy",
-                    "Strategy::Disjoint",
-                )?;
-                Self::reject_knob(
-                    self.cover_strategy.is_some(),
-                    "cover_strategy",
-                    "Strategy::Disjoint",
-                )?;
-                Self::reject_knob(
-                    self.max_join_tries.is_some(),
-                    "max_join_tries",
-                    "Strategy::Disjoint",
-                )?;
-                Self::reject_knob(
-                    self.max_cover_retries.is_some(),
-                    "max_cover_retries",
-                    "Strategy::Disjoint",
-                )?;
-                let samplers = Self::resolve_samplers(
-                    &mut restored_samplers,
-                    &mut prebuilt_samplers,
-                    &workload,
-                    self.weights.unwrap_or(WeightKind::Exact),
-                )?;
-                let (sizes, frozen) = match self
-                    .estimator
-                    .unwrap_or(Estimator::Histogram(HistogramOptions::default()))
-                {
-                    Estimator::Exact => {
-                        let sizes = match restored_sizes {
-                            // Snapshot-restored sizes replace the exact
-                            // estimation pass bit-for-bit.
-                            Some(sizes) => sizes,
-                            None => {
-                                estimation_passes += 1;
-                                // Exact-weight samplers already hold the
-                                // exact sizes in their count-table
-                                // roots (identical values to the
-                                // separate EW pass they replace).
-                                if samplers.iter().all(|s| s.as_exact().is_some()) {
-                                    samplers
-                                        .iter()
-                                        .map(|s| s.as_exact().expect("checked above").exact_size())
-                                        .collect()
-                                } else {
-                                    workload.exact_join_sizes()?
-                                }
-                            }
-                        };
-                        (sizes.clone(), FrozenParams::Sizes(sizes))
-                    }
-                    other => {
-                        let map = Self::resolve_map(
-                            prebuilt.take(),
-                            &workload,
-                            &other,
-                            self.estimation_seed,
-                            &mut estimation_passes,
-                        )?;
-                        let sizes = (0..workload.n_joins()).map(|j| map.join_size(j)).collect();
-                        (sizes, FrozenParams::Map(map))
-                    }
+                let knobs = [knob_policy, knob_cover, knob_tries, knob_retries];
+                Self::reject_knobs("Strategy::Disjoint", &knobs)?;
+                let weights = weights.unwrap_or(WeightKind::Exact);
+                let (params, passes) = derive_params(&workload, &est, weights, true, seed, reuse)?;
+                let kind = PreparedKind::Disjoint {
+                    samplers: params.samplers.clone(),
+                    sizes: params.join_sizes()?,
                 };
-                (PreparedKind::Disjoint { samplers, sizes }, frozen)
+                (kind, params, passes)
             }
-            Strategy::Auto => unreachable!("Auto is resolved in freeze_auto"),
+            Strategy::Auto => {
+                return Err(CoreError::Invalid(
+                    "Strategy::Auto needs a plan; freeze() supplies one".into(),
+                ))
+            }
         };
 
+        let online = matches!(strategy, Strategy::Online(_));
+        let summary = PlanSummary {
+            strategy: strategy.to_string(),
+            estimator: if online {
+                "online".to_string()
+            } else {
+                est.to_string()
+            },
+            weights: (!online).then(|| weights_label(weights.unwrap_or(WeightKind::Exact))),
+            cover: matches!(strategy, Strategy::Rejection | Strategy::Online(_))
+                .then(|| cover_label(cover_strategy.unwrap_or(CoverStrategy::AsGiven))),
+            predicate: predicate_mode.map(|m| predicate_label(m).to_string()),
+            sizing: params.sizing().map(|p| p.label().to_string()),
+            rule: plan.map(|p| p.rule.name().to_string()),
+        };
         // Resident footprint of the frozen pipeline: base relations
         // plus everything the per-join samplers precomputed (hash
         // indexes, count tables, alias arenas).
-        let sampler_bytes: u64 = match &kind {
-            PreparedKind::Rejection { samplers, .. }
-            | PreparedKind::Bernoulli { samplers, .. }
-            | PreparedKind::Disjoint { samplers, .. } => {
-                samplers.iter().map(|s| s.memory_bytes() as u64).sum()
-            }
-            PreparedKind::Online { .. } => 0,
-        };
-        let prepared_bytes = workload.memory_bytes() as u64 + sampler_bytes;
+        let prepared_bytes = workload.memory_bytes() as u64
+            + params
+                .samplers
+                .iter()
+                .map(|s| s.memory_bytes() as u64)
+                .sum::<u64>();
         Ok(PreparedSampler {
             workload,
             kind,
@@ -861,10 +454,10 @@ impl SamplerBuilder {
                 _ => None,
             },
             summary,
-            root_seed,
+            root_seed: seed,
             estimation_passes,
             prepared_bytes,
-            frozen_params,
+            params,
             snapshot_bytes: 0,
             restore_time: Duration::ZERO,
             minted: AtomicU64::new(0),
@@ -879,6 +472,20 @@ impl SamplerBuilder {
     pub fn build(self) -> Result<Box<dyn UnionSampler + Send>, CoreError> {
         self.freeze()?.instantiate()
     }
+}
+
+/// The workload with a push-down predicate folded into every join's
+/// base relations (§8.3); joins are renamed `<name>__σ`.
+pub(crate) fn push_down_workload(
+    workload: &UnionWorkload,
+    predicate: &Predicate,
+) -> Result<Arc<UnionWorkload>, CoreError> {
+    let filtered: Vec<Arc<JoinSpec>> = workload
+        .joins()
+        .iter()
+        .map(|j| push_down(j, predicate, &format!("{}__σ", j.name())).map(Arc::new))
+        .collect::<Result<_, _>>()?;
+    Ok(Arc::new(UnionWorkload::new(filtered)?))
 }
 
 /// What a frozen pipeline needs to mint a handle: the estimated
@@ -935,13 +542,15 @@ pub struct PreparedSampler {
     summary: PlanSummary,
     root_seed: u64,
     estimation_passes: u64,
-    /// Resident bytes of the workload's base relations, stamped into
-    /// every minted handle's report.
+    /// Resident bytes of the frozen pipeline — the workload's base
+    /// relations plus every per-join sampler's precomputation (hash
+    /// indexes, count tables, alias arenas) — stamped into every minted
+    /// handle's report.
     prepared_bytes: u64,
-    /// The estimated parameters the freeze committed to, retained so
-    /// snapshots can persist them (see
+    /// The parameters the freeze consumed, retained so snapshots can
+    /// persist them (see
     /// [`Engine::save_snapshot`](crate::catalog::Engine::save_snapshot)).
-    frozen_params: FrozenParams,
+    params: Params,
     /// Size of the snapshot this pipeline was restored from (0 when it
     /// was frozen in-process); stamped into every handle's report.
     snapshot_bytes: u64,
@@ -1021,16 +630,17 @@ impl PreparedSampler {
         Ok(sampler)
     }
 
-    /// Approximate resident bytes of the prepared workload's base
-    /// relations (the number stamped into every handle's report).
+    /// Approximate resident bytes of the frozen pipeline: the
+    /// workload's base relations plus every per-join sampler's
+    /// `memory_bytes()` — hash indexes, count tables, and alias arenas
+    /// (the number stamped into every handle's report).
     pub fn prepared_bytes(&self) -> u64 {
         self.prepared_bytes
     }
 
-    /// The estimated parameters the freeze committed to (snapshot
-    /// serialization).
-    pub(crate) fn frozen_params(&self) -> &FrozenParams {
-        &self.frozen_params
+    /// The parameters the freeze consumed (snapshot serialization).
+    pub(crate) fn params(&self) -> &Params {
+        &self.params
     }
 
     /// Stamps the cost of the snapshot restore that produced this
@@ -1062,42 +672,15 @@ impl PreparedSampler {
         &self.summary
     }
 
-    /// Per-join Exact-Weight artifacts (count tables + alias arenas)
-    /// when *every* member sampler is exact-weight — what a snapshot
-    /// persists so a restore can revive the samplers without any count
-    /// recomputation or alias rebuild. `None` for online pipelines or
-    /// any non-EW member (nothing to persist).
-    pub(crate) fn ew_artifacts(&self) -> Option<Vec<suj_join::EwArtifacts>> {
-        let samplers = match &self.kind {
-            PreparedKind::Rejection { samplers, .. }
-            | PreparedKind::Bernoulli { samplers, .. }
-            | PreparedKind::Disjoint { samplers, .. } => samplers,
-            PreparedKind::Online { .. } => return None,
-        };
-        samplers
-            .iter()
-            .map(|s| s.as_exact().map(|e| e.artifacts()))
-            .collect()
-    }
-
-    /// Overrides the stamped configuration record — used by the engine
-    /// to substitute the planner's summary (which names the rule that
-    /// fired) for the builder's.
-    #[must_use = "builder methods return the updated value; dropping it discards the change"]
-    pub fn with_summary(mut self, summary: PlanSummary) -> Self {
-        self.summary = summary;
-        self
-    }
-
     /// The root of per-handle RNG stream derivation (the builder's
     /// [`estimation_seed`](SamplerBuilder::estimation_seed)).
     pub fn root_seed(&self) -> u64 {
         self.root_seed
     }
 
-    /// Estimation passes paid at freeze time: 1 normally, 0 when a
-    /// planner-probed overlap map was reused (the probe already paid
-    /// it). Never grows afterwards — minting handles re-estimates
+    /// Estimation passes paid at freeze time: 1 normally, 0 when the
+    /// plan's params already held the map (the planner's probe or a
+    /// snapshot paid for it). Never grows afterwards — minting handles re-estimates
     /// nothing, which served workloads assert.
     pub fn estimation_passes(&self) -> u64 {
         self.estimation_passes
@@ -1113,6 +696,7 @@ impl PreparedSampler {
 mod tests {
     use super::*;
     use crate::sampler::Draw;
+    use suj_stats::SujRng;
     use suj_storage::{CompareOp, Relation, Schema, Value};
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Arc<Relation> {
@@ -1226,7 +810,7 @@ mod tests {
             prepared.prepared_bytes()
         );
         // …and exactly by the samplers' own accounting.
-        let artifacts = prepared.ew_artifacts().expect("EW pipeline");
+        let artifacts = prepared.params().ew_artifacts().expect("EW pipeline");
         assert_eq!(artifacts.len(), w.n_joins());
 
         // Online builds no per-join samplers: workload bytes only.
@@ -1235,7 +819,7 @@ mod tests {
             .freeze()
             .unwrap();
         assert_eq!(online.prepared_bytes(), workload_bytes);
-        assert!(online.ew_artifacts().is_none());
+        assert!(online.params().ew_artifacts().is_none());
     }
 
     #[test]

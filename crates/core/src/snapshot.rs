@@ -3,12 +3,12 @@
 //! A cold replica should serve the first request without re-running
 //! parameter estimation. [`Engine::save_snapshot`] persists the
 //! catalog plus every cached prepared query — its declarative query,
-//! plan tags, root seed, and the *frozen estimated parameters* the
-//! freeze committed to — into the storage layer's sectioned,
-//! checksummed container ([`suj_storage::snapshot`]).
-//! [`Engine::load_snapshot`] rebuilds the catalog, re-resolves each
-//! query, and re-freezes each pipeline **consuming the restored
-//! parameters instead of estimating**: after a restore,
+//! plan tags, root seed, and the *parameters* its freeze consumed —
+//! into the storage layer's sectioned, checksummed container
+//! ([`suj_storage::snapshot`]). [`Engine::load_snapshot`] rebuilds the
+//! catalog, re-resolves each query, and freezes each plan through the
+//! ordinary plan → prepared path **with the restored parameters in
+//! place of estimation**: after a restore,
 //! [`PreparedQuery::estimations`] is 0 and samples are bit-identical
 //! to the donor engine's for the same root seed and request seed.
 //!
@@ -23,8 +23,7 @@
 //! |------|---------|
 //! | 16 ([`SECTION_ENGINE_META`]) | engine format version `u32`, planner config (`f64`, `u64`, `f64`, `u8`) |
 //! | 1 ([`SECTION_RELATION`]) | one relation, in catalog registration order |
-//! | 17 ([`SECTION_PREPARED`]) | one prepared entry: query, root seed `u64`, plan tags, frozen parameters |
-//! | 18 ([`SECTION_EW_ARENAS`]) | per-join Exact-Weight artifacts (count tables + alias arenas) for the prepared entry immediately before it |
+//! | 17 ([`SECTION_PREPARED`]) | one prepared entry: query, root seed `u64`, plan tags, parameters |
 //!
 //! Plans are stored as *tags* (strategy / estimator / weights / cover
 //! / predicate mode / rule discriminants), not full configurations:
@@ -33,28 +32,28 @@
 //! not come through the engine (no source query, e.g.
 //! [`PreparedQuery::auto`]) are not persisted.
 //!
-//! Frozen parameters are the overlap map (or exact per-join sizes)
-//! the freeze committed to — the restore path's substitute for
-//! estimation. They were captured *after* any predicate push-down
-//! rewrite, so restoring replays the rewrite deterministically and
-//! then installs the map over the rewritten workload.
-//!
-//! When every member sampler of a prepared entry is exact-weight, its
-//! factorized count tables and alias arenas follow in a
-//! [`SECTION_EW_ARENAS`] section (paired with the preceding prepared
-//! entry by order). The restore revives the samplers from those
-//! artifacts — validated slab-by-slab — so a restored replica performs
-//! **zero** alias builds ([`suj_join::alias_builds`] is flat across a
-//! restore) and serves draw streams bit-identical to the donor's.
+//! The parameters are one encoded value: the map's provenance tag
+//! (`exact` / `histogram` / `walk`), the overlap map when one was
+//! derived, and — when every member sampler is exact-weight — each
+//! join's factorized count tables and alias arenas. They were captured
+//! *after* any predicate push-down rewrite, so a restore replays the
+//! rewrite deterministically first and decodes them against the
+//! rewritten workload. Samplers revive from the persisted artifacts,
+//! validated slab-by-slab, so a restored replica performs **zero**
+//! alias builds ([`suj_join::alias_builds`] is flat across a restore),
+//! serves draw streams bit-identical to the donor's, and stamps the
+//! same summary (size provenance included, since it is derived from
+//! the same parameters).
 
 use crate::bernoulli::DesignationPolicy;
 use crate::catalog::{Catalog, Engine, PreparedQuery};
 use crate::error::CoreError;
 use crate::overlap::OverlapMap;
+use crate::params::{Params, Provenance};
 use crate::planner::{Plan, PlanRule, Planner, PlannerConfig, WorkloadStats};
 use crate::predicate_mode::PredicateMode;
 use crate::query::{JoinDef, Topology, UnionQuery, UnionSemantics};
-use crate::session::{Estimator, FrozenParams, HistogramOptions, SamplerBuilder, Strategy};
+use crate::session::{push_down_workload, Estimator, HistogramOptions, SamplerBuilder, Strategy};
 use crate::walk_estimator::WalkEstimatorConfig;
 use crate::workload::UnionWorkload;
 use std::path::Path;
@@ -71,12 +70,10 @@ use suj_storage::SnapshotError;
 pub const SECTION_ENGINE_META: u32 = 16;
 /// Section kind: one serialized prepared-query entry.
 pub const SECTION_PREPARED: u32 = 17;
-/// Section kind: the Exact-Weight artifacts (count tables + alias
-/// arenas) of the prepared entry immediately before this section.
-pub const SECTION_EW_ARENAS: u32 = 18;
 /// Version of the engine sections' encoding (independent of the
-/// container version).
-pub const ENGINE_FORMAT_VERSION: u32 = 1;
+/// container version). Version 2 persists each prepared entry's
+/// parameters as one encoded value.
+pub const ENGINE_FORMAT_VERSION: u32 = 2;
 
 fn corrupt(what: &str, got: impl std::fmt::Display) -> SnapshotError {
     SnapshotError::Corrupt(format!("{what}: unexpected value {got}"))
@@ -178,12 +175,7 @@ pub fn decode_query(r: &mut ByteReader<'_>) -> Result<UnionQuery, SnapshotError>
         1 => Some(decode_predicate(r)?),
         other => return Err(corrupt("predicate option tag", other)),
     };
-    let predicate_mode = match r.get_u8()? {
-        0 => None,
-        1 => Some(PredicateMode::PushDown),
-        2 => Some(PredicateMode::Reject),
-        other => return Err(corrupt("predicate mode tag", other)),
-    };
+    let predicate_mode = predicate_mode_tag(r.get_u8()?, "predicate mode tag")?;
     Ok(UnionQuery::from_restored(
         semantics,
         joins,
@@ -192,22 +184,20 @@ pub fn decode_query(r: &mut ByteReader<'_>) -> Result<UnionQuery, SnapshotError>
     ))
 }
 
+/// Inverse of the predicate-mode byte both codecs write: 0 none,
+/// 1 push-down, 2 reject.
+fn predicate_mode_tag(tag: u8, what: &str) -> Result<Option<PredicateMode>, SnapshotError> {
+    match tag {
+        0 => Ok(None),
+        1 => Ok(Some(PredicateMode::PushDown)),
+        2 => Ok(Some(PredicateMode::Reject)),
+        other => Err(corrupt(what, other)),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Plan codec (tags only — the planner emits default configurations)
 // ---------------------------------------------------------------------
-
-struct PlanTags {
-    strategy: u8,
-    policy: u8,
-    estimator: u8,
-    weights: u8,
-    cover: u8,
-    predicate_mode: u8,
-    /// Join-size provenance: 0 none, 1 exact (EW count tables),
-    /// 2 histogram.
-    sizing: u8,
-    rule: u8,
-}
 
 fn encode_plan(plan: &Plan, w: &mut ByteWriter) -> Result<(), SnapshotError> {
     let (strategy, policy) = match plan.strategy {
@@ -248,13 +238,6 @@ fn encode_plan(plan: &Plan, w: &mut ByteWriter) -> Result<(), SnapshotError> {
         Some(PredicateMode::PushDown) => 1,
         Some(PredicateMode::Reject) => 2,
     });
-    w.put_u8(if plan.stats.exact_sizes {
-        1
-    } else if plan.stats.available() {
-        2
-    } else {
-        0
-    });
     w.put_u8(match plan.rule {
         PlanRule::DisjointSemantics => 0,
         PlanRule::SingleJoin => 1,
@@ -266,103 +249,75 @@ fn encode_plan(plan: &Plan, w: &mut ByteWriter) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-fn decode_plan_tags(r: &mut ByteReader<'_>) -> Result<PlanTags, SnapshotError> {
-    Ok(PlanTags {
-        strategy: r.get_u8()?,
-        policy: r.get_u8()?,
-        estimator: r.get_u8()?,
-        weights: r.get_u8()?,
-        cover: r.get_u8()?,
-        predicate_mode: r.get_u8()?,
-        sizing: r.get_u8()?,
-        rule: r.get_u8()?,
+/// Inverse of [`encode_plan`], against the freshly resolved workload.
+/// Statistics and parameters stay empty until the restore decodes the
+/// entry's parameters.
+fn decode_plan(r: &mut ByteReader<'_>, workload: &UnionWorkload) -> Result<Plan, SnapshotError> {
+    let strategy = match (r.get_u8()?, r.get_u8()?) {
+        (0, _) => Strategy::Rejection,
+        (1, _) => Strategy::Online(crate::algorithm2::OnlineConfig::default()),
+        (2, 0) => Strategy::Bernoulli(DesignationPolicy::Oracle),
+        (2, 1) => Strategy::Bernoulli(DesignationPolicy::Record),
+        (3, _) => Strategy::Disjoint,
+        (other, _) => return Err(corrupt("strategy tag", other)),
+    };
+    let estimator = match r.get_u8()? {
+        0 => None,
+        1 => Some(Estimator::Exact),
+        2 => Some(Estimator::Histogram(HistogramOptions::default())),
+        3 => Some(Estimator::Walk(WalkEstimatorConfig::default())),
+        other => return Err(corrupt("estimator tag", other)),
+    };
+    let weights = match r.get_u8()? {
+        0 => None,
+        1 => Some(suj_join::WeightKind::Exact),
+        2 => Some(suj_join::WeightKind::ExtendedOlken),
+        3 => Some(suj_join::WeightKind::WanderJoin),
+        4 => Some(suj_join::WeightKind::AgmBox),
+        other => return Err(corrupt("weights tag", other)),
+    };
+    let cover_strategy = match r.get_u8()? {
+        0 => None,
+        1 => Some(crate::cover::CoverStrategy::AsGiven),
+        2 => Some(crate::cover::CoverStrategy::DescendingSize),
+        3 => Some(crate::cover::CoverStrategy::AscendingSize),
+        other => return Err(corrupt("cover tag", other)),
+    };
+    let predicate_mode = predicate_mode_tag(r.get_u8()?, "plan predicate mode tag")?;
+    let rule = match r.get_u8()? {
+        0 => PlanRule::DisjointSemantics,
+        1 => PlanRule::SingleJoin,
+        2 => PlanRule::NoStatistics,
+        3 => PlanRule::LowOverlap,
+        4 => PlanRule::HighOverlap,
+        5 => PlanRule::CyclicJoin,
+        other => return Err(corrupt("rule tag", other)),
+    };
+    Ok(Plan {
+        strategy,
+        estimator,
+        weights,
+        cover_strategy,
+        predicate_mode,
+        rule,
+        stats: WorkloadStats::unavailable(workload),
+        params: Params::new(Provenance::Histogram, None, Vec::new()),
     })
 }
 
-impl PlanTags {
-    /// Reconstructs the plan against a freshly resolved workload. The
-    /// statistics are rebuilt from the frozen overlap map (or marked
-    /// unavailable), which is exactly what the restored freeze
-    /// consumes.
-    fn into_plan(
-        self,
-        workload: &Arc<UnionWorkload>,
-        frozen: &FrozenParams,
-    ) -> Result<Plan, SnapshotError> {
-        let strategy = match (self.strategy, self.policy) {
-            (0, _) => Strategy::Rejection,
-            (1, _) => Strategy::Online(crate::algorithm2::OnlineConfig::default()),
-            (2, 0) => Strategy::Bernoulli(DesignationPolicy::Oracle),
-            (2, 1) => Strategy::Bernoulli(DesignationPolicy::Record),
-            (3, _) => Strategy::Disjoint,
-            (other, _) => return Err(corrupt("strategy tag", other)),
-        };
-        let estimator = match self.estimator {
-            0 => None,
-            1 => Some(Estimator::Exact),
-            2 => Some(Estimator::Histogram(HistogramOptions::default())),
-            3 => Some(Estimator::Walk(WalkEstimatorConfig::default())),
-            other => return Err(corrupt("estimator tag", other)),
-        };
-        let weights = match self.weights {
-            0 => None,
-            1 => Some(suj_join::WeightKind::Exact),
-            2 => Some(suj_join::WeightKind::ExtendedOlken),
-            3 => Some(suj_join::WeightKind::WanderJoin),
-            4 => Some(suj_join::WeightKind::AgmBox),
-            other => return Err(corrupt("weights tag", other)),
-        };
-        let cover_strategy = match self.cover {
-            0 => None,
-            1 => Some(crate::cover::CoverStrategy::AsGiven),
-            2 => Some(crate::cover::CoverStrategy::DescendingSize),
-            3 => Some(crate::cover::CoverStrategy::AscendingSize),
-            other => return Err(corrupt("cover tag", other)),
-        };
-        let predicate_mode = match self.predicate_mode {
-            0 => None,
-            1 => Some(PredicateMode::PushDown),
-            2 => Some(PredicateMode::Reject),
-            other => return Err(corrupt("plan predicate mode tag", other)),
-        };
-        let rule = match self.rule {
-            0 => PlanRule::DisjointSemantics,
-            1 => PlanRule::SingleJoin,
-            2 => PlanRule::NoStatistics,
-            3 => PlanRule::LowOverlap,
-            4 => PlanRule::HighOverlap,
-            5 => PlanRule::CyclicJoin,
-            other => return Err(corrupt("rule tag", other)),
-        };
-        let mut stats = match frozen {
-            FrozenParams::Map(map) => WorkloadStats::from_probed(workload, map.clone()),
-            _ => WorkloadStats::unavailable(workload),
-        };
-        match self.sizing {
-            0 | 2 => {}
-            1 => stats.exact_sizes = true,
-            other => return Err(corrupt("sizing tag", other)),
-        }
-        Ok(Plan {
-            strategy,
-            estimator,
-            weights,
-            cover_strategy,
-            predicate_mode,
-            rule,
-            stats,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------
-// Frozen-parameter codec
+// Parameter codec
 // ---------------------------------------------------------------------
 
-fn encode_frozen(params: &FrozenParams, w: &mut ByteWriter) {
-    match params {
-        FrozenParams::None => w.put_u8(0),
-        FrozenParams::Map(map) => {
+fn encode_params(params: &Params, w: &mut ByteWriter) {
+    w.put_u8(match params.provenance {
+        Provenance::Exact => 0,
+        Provenance::Histogram => 1,
+        Provenance::Walk => 2,
+    });
+    match &params.map {
+        None => w.put_u8(0),
+        Some(map) => {
             w.put_u8(1);
             let n = map.n();
             w.put_u32(n as u32);
@@ -379,34 +334,68 @@ fn encode_frozen(params: &FrozenParams, w: &mut ByteWriter) {
                 .collect();
             w.put_f64_slab(&sizes);
         }
-        FrozenParams::Sizes(sizes) => {
-            w.put_u8(2);
-            w.put_f64_slab(sizes);
+    }
+    match params.ew_artifacts() {
+        None => w.put_u8(0),
+        Some(artifacts) => {
+            w.put_u8(1);
+            encode_ew_artifacts(&artifacts, w);
         }
     }
 }
 
-fn decode_frozen(r: &mut ByteReader<'_>) -> Result<FrozenParams, SnapshotError> {
-    match r.get_u8()? {
-        0 => Ok(FrozenParams::None),
+/// Inverse of [`encode_params`], against the workload the parameters
+/// were frozen on (after any push-down rewrite): persisted Exact-Weight
+/// artifacts revive that workload's samplers through
+/// [`ExactWeightSampler::from_artifacts`](suj_join::ExactWeightSampler::from_artifacts),
+/// which validates every shape against the join spec.
+fn decode_params(
+    r: &mut ByteReader<'_>,
+    workload: &UnionWorkload,
+) -> Result<Params, SnapshotError> {
+    let provenance = match r.get_u8()? {
+        0 => Provenance::Exact,
+        1 => Provenance::Histogram,
+        2 => Provenance::Walk,
+        other => return Err(corrupt("parameter provenance tag", other)),
+    };
+    let n_joins = workload.n_joins();
+    let map = match r.get_u8()? {
+        0 => None,
         1 => {
             let n = r.get_u32()? as usize;
+            if n != n_joins {
+                return Err(corrupt("overlap map join count", n));
+            }
             let sizes = r.get_f64_slab()?;
             let map = OverlapMap::new(n, sizes)
                 .map_err(|e| SnapshotError::Corrupt(format!("invalid overlap map: {e}")))?;
-            Ok(FrozenParams::Map(map))
+            Some(map)
         }
-        2 => {
-            let sizes = r.get_f64_slab()?;
-            if sizes.iter().any(|s| !s.is_finite() || *s < 0.0) {
-                return Err(SnapshotError::Corrupt(
-                    "frozen join sizes must be finite and non-negative".into(),
-                ));
+        other => return Err(corrupt("overlap map presence tag", other)),
+    };
+    let samplers = match r.get_u8()? {
+        0 => Vec::new(),
+        1 => {
+            let artifacts = decode_ew_artifacts(r)?;
+            if artifacts.len() != n_joins {
+                return Err(corrupt("EW artifact join count", artifacts.len()));
             }
-            Ok(FrozenParams::Sizes(sizes))
+            workload
+                .joins()
+                .iter()
+                .cloned()
+                .zip(artifacts)
+                .map(|(spec, art)| {
+                    suj_join::ExactWeightSampler::from_artifacts(spec, art)
+                        .map(|s| Arc::new(s) as Arc<dyn suj_join::JoinSampler>)
+                        .map_err(|e| SnapshotError::Corrupt(e.to_string()))
+                })
+                .collect::<Result<Vec<_>, _>>()?
         }
-        other => Err(corrupt("frozen-params tag", other)),
-    }
+        other => return Err(corrupt("EW artifacts presence tag", other)),
+    };
+    Ok(Params::new(provenance, map, samplers))
 }
 
 // ---------------------------------------------------------------------
@@ -457,7 +446,8 @@ fn encode_ew_artifacts(artifacts: &[suj_join::EwArtifacts], w: &mut ByteWriter) 
 /// structurally here ([`suj_stats::AliasArena::from_parts`]); the
 /// cross-checks against the join spec (column lengths, key-table
 /// shapes, total consistency) happen in
-/// [`suj_join::ExactWeightSampler::from_artifacts`] at freeze time.
+/// [`suj_join::ExactWeightSampler::from_artifacts`], in
+/// [`decode_params`].
 fn decode_ew_artifacts(
     r: &mut ByteReader<'_>,
 ) -> Result<Vec<suj_join::EwArtifacts>, SnapshotError> {
@@ -551,16 +541,8 @@ impl Engine {
             encode_query(query, &mut w);
             w.put_u64(prepared.prepared().root_seed());
             encode_plan(prepared.plan(), &mut w)?;
-            encode_frozen(prepared.prepared().frozen_params(), &mut w);
+            encode_params(prepared.prepared().params(), &mut w);
             sections.push((SECTION_PREPARED, w.into_bytes()));
-            // Exact-weight pipelines also persist their count tables
-            // and alias arenas, paired with the entry by order, so a
-            // restore revives the samplers without rebuilding either.
-            if let Some(artifacts) = prepared.prepared().ew_artifacts() {
-                let mut w = ByteWriter::new();
-                encode_ew_artifacts(&artifacts, &mut w);
-                sections.push((SECTION_EW_ARENAS, w.into_bytes()));
-            }
         }
 
         Ok(write_sections(&sections))
@@ -647,22 +629,14 @@ impl Engine {
         };
 
         let mut catalog = Catalog::new();
-        let mut prepared_payloads: Vec<(&[u8], Option<&[u8]>)> = Vec::new();
+        let mut prepared_payloads: Vec<&[u8]> = Vec::new();
         for (kind, payload) in iter {
             match kind {
                 SECTION_RELATION => {
                     let mut r = ByteReader::new(payload);
                     catalog.register_arc(Arc::new(decode_relation(&mut r)?))?;
                 }
-                SECTION_PREPARED => prepared_payloads.push((payload, None)),
-                SECTION_EW_ARENAS => match prepared_payloads.last_mut() {
-                    Some((_, slot @ None)) => *slot = Some(payload),
-                    _ => {
-                        return Err(CoreError::Snapshot(SnapshotError::Corrupt(
-                            "EW arenas section must directly follow its prepared entry".into(),
-                        )))
-                    }
-                },
+                SECTION_PREPARED => prepared_payloads.push(payload),
                 other => {
                     return Err(CoreError::Snapshot(SnapshotError::Corrupt(format!(
                         "unknown engine section kind {other}"
@@ -673,43 +647,40 @@ impl Engine {
 
         let engine = Engine::with_planner(catalog, Planner::new(planner_config));
         let snapshot_bytes = bytes.len() as u64;
-        for (payload, arena_payload) in prepared_payloads {
+        for payload in prepared_payloads {
             let mut r = ByteReader::new(payload);
             let query = decode_query(&mut r)?;
             let root_seed = r.get_u64()?;
-            let tags = decode_plan_tags(&mut r)?;
-            let sizing_tag = tags.sizing;
-            let frozen = decode_frozen(&mut r)?;
-            let artifacts = match arena_payload {
-                Some(bytes) => {
-                    let mut r = ByteReader::new(bytes);
-                    Some(decode_ew_artifacts(&mut r)?)
-                }
-                None => None,
-            };
-
             let resolved = query.resolve(engine.catalog())?;
-            let plan = tags.into_plan(&resolved.workload, &frozen)?;
-            let mut builder = plan
-                .apply(SamplerBuilder::for_workload(resolved.workload.clone()))
-                .estimation_seed(root_seed)
-                .with_restored(frozen);
-            if let Some(artifacts) = artifacts {
-                builder = builder.with_restored_artifacts(artifacts);
+            let mut plan = decode_plan(&mut r, &resolved.workload)?;
+
+            // The parameters describe the workload as sampled: replay
+            // the push-down rewrite first; a reject-mode predicate goes
+            // to the freeze.
+            let mut builder_predicate = None;
+            let workload = match (resolved.predicate, plan.predicate_mode) {
+                (Some(p), Some(PredicateMode::PushDown)) => {
+                    push_down_workload(&resolved.workload, &p)?
+                }
+                (Some(p), Some(mode)) => {
+                    builder_predicate = Some((p, mode));
+                    resolved.workload.clone()
+                }
+                _ => resolved.workload.clone(),
+            };
+            plan.params = decode_params(&mut r, &workload)?;
+            if !r.is_empty() {
+                return Err(CoreError::Snapshot(SnapshotError::Corrupt(format!(
+                    "{} trailing bytes after a prepared entry",
+                    r.remaining()
+                ))));
             }
-            if let (Some(p), Some(mode)) = (resolved.predicate, plan.predicate_mode) {
+            plan.stats = WorkloadStats::of(&resolved.workload, &plan.params);
+            let mut builder = SamplerBuilder::for_workload(workload).estimation_seed(root_seed);
+            if let Some((p, mode)) = builder_predicate {
                 builder = builder.predicate(p, mode);
             }
-            // The sizing provenance the donor's summary carried is
-            // restored from its tag verbatim (restored stats cannot
-            // always re-derive it — e.g. frozen sizes carry no map).
-            let mut summary = plan.summary();
-            summary.sizing = match sizing_tag {
-                0 => None,
-                1 => Some("exact".to_string()),
-                _ => Some("histogram".to_string()),
-            };
-            let mut prepared = builder.freeze()?.with_summary(summary);
+            let mut prepared = builder.freeze_plan(Some(&plan))?;
             prepared.set_restore_cost(snapshot_bytes, start.elapsed());
             let restored = Arc::new(PreparedQuery::from_query_parts(
                 query.clone(),
@@ -959,11 +930,14 @@ mod tests {
         let engine = shop_engine();
         engine.prepare(&shop_query()).unwrap();
         let bytes = engine.snapshot_to_bytes().unwrap();
-        // Truncation at every prefix must error, never panic.
-        for cut in [0, 4, 16, bytes.len() / 2, bytes.len() - 1] {
+        // Truncation at every prefix is a snapshot error, never a panic.
+        for cut in 0..bytes.len() {
             assert!(
-                Engine::load_snapshot_bytes(&bytes[..cut]).is_err(),
-                "truncation at {cut} must fail"
+                matches!(
+                    Engine::load_snapshot_bytes(&bytes[..cut]),
+                    Err(CoreError::Snapshot(_))
+                ),
+                "truncation at {cut} must fail with a snapshot error"
             );
         }
         // A flipped payload byte breaks a checksum.
@@ -982,6 +956,55 @@ mod tests {
         assert!(matches!(
             Engine::load_snapshot_bytes(&bad),
             Err(CoreError::Snapshot(SnapshotError::BadMagic))
+        ));
+
+        // Locate the prepared entry's encoded parameters: everything
+        // after its query, root seed, and plan tags.
+        let sections = read_sections(&bytes).unwrap();
+        let entry = sections
+            .iter()
+            .position(|(kind, _)| *kind == SECTION_PREPARED)
+            .unwrap();
+        let payload = sections[entry].1;
+        let mut r = ByteReader::new(payload);
+        let resolved = decode_query(&mut r)
+            .unwrap()
+            .resolve(engine.catalog())
+            .unwrap();
+        r.get_u64().unwrap();
+        decode_plan(&mut r, &resolved.workload).unwrap();
+        let head = payload.len() - r.remaining();
+        let offset = payload.as_ptr() as usize - bytes.as_ptr() as usize;
+        // A bit flip anywhere inside them trips the section checksum.
+        for pos in offset + head..offset + payload.len() {
+            let mut bad = bytes.clone();
+            bad[pos] ^= 0x40;
+            assert!(
+                matches!(
+                    Engine::load_snapshot_bytes(&bad),
+                    Err(CoreError::Snapshot(SnapshotError::ChecksumMismatch { .. }))
+                ),
+                "flip at parameter byte {pos}"
+            );
+        }
+        // Behind a re-forged checksum, every truncation of the
+        // parameters (and any trailing garbage) is still a snapshot
+        // error.
+        let owned: Vec<(u32, Vec<u8>)> = sections.iter().map(|(k, p)| (*k, p.to_vec())).collect();
+        let forged = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut sections = owned.clone();
+            edit(&mut sections[entry].1);
+            Engine::load_snapshot_bytes(&write_sections(&sections))
+        };
+        for cut in head..payload.len() {
+            assert!(
+                matches!(forged(&|p| p.truncate(cut)), Err(CoreError::Snapshot(_))),
+                "parameters cut at {cut}"
+            );
+        }
+        assert!(matches!(
+            forged(&|p| p.push(0)),
+            Err(CoreError::Snapshot(SnapshotError::Corrupt(_)))
         ));
     }
 

@@ -3,7 +3,8 @@
 //! sampler from its persisted count tables and alias arenas, so the
 //! restored replica performs **zero** alias builds, reports
 //! `estimations() == 0`, and serves draw streams bit-identical to the
-//! donor's for the same root seed and request seed.
+//! donor's for the same root seed and request seed — and pins that
+//! the donor's own prepare built each exact-weight sampler only once.
 //!
 //! One `#[test]` on purpose: [`suj_join::alias_builds`] is a
 //! process-global counter, and exact-delta assertions are only
@@ -11,6 +12,8 @@
 //! (cargo runs test binaries sequentially).
 
 use suj_core::prelude::*;
+use suj_join::weights::build_sampler;
+use suj_join::WeightKind;
 use suj_storage::{Relation, Schema, Value};
 
 fn rel(name: &str, attrs: &[&str], rows: &[&[i64]]) -> Relation {
@@ -52,7 +55,23 @@ fn restored_engine_serves_without_alias_rebuild() {
         .unwrap();
 
     let engine = shop_engine();
+    let builds_before = suj_join::alias_builds();
     let donor = engine.prepare(&query).unwrap();
+    let prepare_builds = suj_join::alias_builds() - builds_before;
+
+    // Prepare builds each exact-weight sampler exactly once: the
+    // planner's exact-size probe builds them, and the freeze reuses
+    // them rather than building the same count tables and arenas again.
+    let builds_before = suj_join::alias_builds();
+    for spec in donor.workload().joins() {
+        build_sampler(spec.clone(), WeightKind::Exact).unwrap();
+    }
+    assert_eq!(
+        prepare_builds,
+        suj_join::alias_builds() - builds_before,
+        "prepare must build one exact-weight sampler per join, no more"
+    );
+
     let bytes = engine.snapshot_to_bytes().unwrap();
 
     let builds_before = suj_join::alias_builds();

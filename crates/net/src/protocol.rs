@@ -368,7 +368,17 @@ pub fn decode_batch(payload: &[u8]) -> Result<(Vec<String>, Vec<Tuple>), NetErro
     for _ in 0..arity {
         attrs.push(r.get_str()?.to_string());
     }
-    let n_rows = r.get_u64()? as usize;
+    // Schemas are never empty and every column spends at least one
+    // byte per row, so the payload left bounds the row count; a larger
+    // claim is corrupt, not an allocation to attempt.
+    let n_rows = r.get_u64()?;
+    let max_rows = if arity == 0 { 0 } else { r.remaining() as u64 };
+    if n_rows > max_rows {
+        return Err(NetError::Protocol(format!(
+            "batch claims {n_rows} rows but its payload encodes at most {max_rows}"
+        )));
+    }
+    let n_rows = n_rows as usize;
     let mut columns = Vec::with_capacity(arity);
     for _ in 0..arity {
         columns.push(decode_column(&mut r, n_rows)?);
@@ -614,5 +624,13 @@ mod tests {
         for cut in 0..batch.len() {
             assert!(decode_batch(&batch[..cut]).is_err(), "cut at {cut}");
         }
+        // A column-free batch claiming 2^40 rows is refused before
+        // anything is allocated for them.
+        let mut w = ByteWriter::new();
+        w.put_u32(0);
+        w.put_u64(1 << 40);
+        let hostile = w.into_bytes();
+        assert_eq!(hostile.len(), 12);
+        assert!(matches!(decode_batch(&hostile), Err(NetError::Protocol(_))));
     }
 }

@@ -196,10 +196,23 @@ fn no_statistics_auto_runs_online() {
     let w = high_overlap_workload();
     let plan = Planner::without_statistics().plan(&w, UnionSemantics::Set);
     assert!(matches!(plan.strategy, SujStrategy::Online(_)));
-    let mut sampler = plan.build(w.clone()).unwrap();
+    let mut catalog = Catalog::new();
+    for join in w.joins() {
+        for rel in join.relations() {
+            catalog.register_arc(rel.clone()).unwrap();
+        }
+    }
+    let query = UnionQuery::set_union()
+        .chain("j1", ["j1_r", "j1_s"])
+        .unwrap()
+        .chain("j2", ["j2_r", "j2_s"])
+        .unwrap();
+    let prepared = Engine::with_planner(catalog, Planner::without_statistics())
+        .prepare(&query)
+        .unwrap();
     let exact = full_join_union(&w).unwrap();
     let mut rng = SujRng::seed_from_u64(17);
-    let (samples, report) = sampler.sample(40, &mut rng).unwrap();
+    let (samples, report) = prepared.run(40, &mut rng).unwrap();
     assert_eq!(samples.len(), 40);
     for t in &samples {
         assert!(exact.union_set.contains(t));

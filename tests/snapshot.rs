@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use suj_core::catalog::{Catalog, Engine};
 use suj_core::query::UnionQuery;
+use suj_core::CoreError;
 use suj_storage::snapshot::{
     decode_index, decode_relation, decode_sorted_index, encode_index, encode_relation,
     encode_sorted_index, read_sections, write_sections, ByteReader, ByteWriter, SECTION_RELATION,
@@ -330,9 +331,12 @@ fn small_engine() -> Engine {
         .register(Relation::new("s", schema_s, rows(2)).unwrap())
         .unwrap();
     let engine = Engine::new(catalog);
-    let query = UnionQuery::set_union().chain("q", ["r", "s"]).unwrap();
-    engine.prepare(&query).unwrap();
+    engine.prepare(&small_query()).unwrap();
     engine
+}
+
+fn small_query() -> UnionQuery {
+    UnionQuery::set_union().chain("q", ["r", "s"]).unwrap()
 }
 
 fn engine_snapshot_bytes() -> &'static [u8] {
@@ -365,79 +369,162 @@ proptest! {
     }
 
     /// Truncating an engine snapshot anywhere fails with a named
-    /// error.
+    /// snapshot error.
     #[test]
     fn truncated_engine_snapshots_fail(cut_seed in 0usize..100_000) {
         let bytes = engine_snapshot_bytes();
         let cut = cut_seed % bytes.len();
-        prop_assert!(Engine::load_snapshot_bytes(&bytes[..cut]).is_err());
+        prop_assert!(matches!(
+            Engine::load_snapshot_bytes(&bytes[..cut]),
+            Err(CoreError::Snapshot(_))
+        ));
     }
 
-    /// Single-byte corruption aimed *inside* the exact-weight alias
-    /// arenas section is always rejected with a named error — the
-    /// section checksum catches the flip before the arena decoder, and
-    /// the decoder itself re-validates every structural invariant
-    /// (offset monotonicity, probability range, segment-local aliases)
-    /// so a forged checksum still cannot smuggle in a lying arena.
+    /// Single-byte corruption aimed *inside* the encoded parameters of
+    /// the prepared entry (overlap map, count tables, alias arenas) is
+    /// always rejected with a named snapshot error — the section
+    /// checksum catches the flip before the parameter decoder, and the
+    /// decoder itself re-validates every structural invariant (offset
+    /// monotonicity, probability range, segment-local aliases) so a
+    /// forged checksum still cannot smuggle in a lying arena.
     #[test]
     fn corrupted_ew_arena_bytes_fail_with_named_errors(
         flip_seed in 0usize..100_000,
         flip_bit in 0u8..8,
     ) {
-        let bytes = engine_snapshot_bytes();
-        let (start, len) = ew_arena_span();
-        let mut corrupted = bytes.to_vec();
-        let pos = start + flip_seed % len;
+        let (payload, head, len) = params_layout();
+        let mut corrupted = engine_snapshot_bytes().to_vec();
+        let pos = payload + head + flip_seed % len;
         corrupted[pos] ^= 1 << flip_bit;
+        let result = Engine::load_snapshot_bytes(&corrupted);
         prop_assert!(
-            Engine::load_snapshot_bytes(&corrupted).is_err(),
-            "flip at arena byte {} must be rejected",
-            pos
+            matches!(result, Err(CoreError::Snapshot(_))),
+            "flip at parameter byte {} gave {:?}",
+            pos,
+            result.map(|e| e.cached_queries())
         );
+    }
+
+    /// The same flips with the checksum re-forged reach the parameter
+    /// decoder itself: the load either restores an engine or fails
+    /// with a typed error — it never panics.
+    #[test]
+    fn reforged_parameter_flips_never_panic(
+        flip_seed in 0usize..100_000,
+        flip_bit in 0u8..8,
+    ) {
+        let (_, head, len) = params_layout();
+        let forged = resectioned(|sections| {
+            let (_, payload) = sections
+                .iter_mut()
+                .find(|(kind, _)| *kind == SECTION_PREPARED)
+                .unwrap();
+            payload[head + flip_seed % len] ^= 1 << flip_bit;
+        });
+        if let Ok(engine) = Engine::load_snapshot_bytes(&forged) {
+            let names: Vec<&str> = engine.catalog().names().collect();
+            prop_assert_eq!(names, vec!["r", "s"]);
+        }
     }
 }
 
 // ---------------------------------------------------------------------
-// Exact-weight alias arenas ride in their own section (kind 18),
-// paired by order with the prepared entry they belong to.
+// A prepared entry's parameters — overlap map plus the exact-weight
+// count tables and alias arenas — are one encoded value at the tail of
+// its section.
 // ---------------------------------------------------------------------
 
-use suj_core::snapshot::{SECTION_EW_ARENAS, SECTION_PREPARED};
+use suj_core::snapshot::{
+    encode_query, ENGINE_FORMAT_VERSION, SECTION_ENGINE_META, SECTION_PREPARED,
+};
 
-/// Byte span `(offset, len)` of the EW arenas payload inside the
-/// engine snapshot, located via the payload slice's position in the
-/// original buffer.
-fn ew_arena_span() -> (usize, usize) {
+/// Plan tag bytes between the root seed and the parameters: strategy,
+/// policy, estimator, weights, cover, predicate mode, rule.
+const PLAN_TAG_BYTES: usize = 7;
+
+/// Where the fixture's encoded parameters sit: the prepared section's
+/// payload offset inside the snapshot (located via the payload slice's
+/// position in the original buffer), the parameters' offset inside
+/// that payload (after the query, root seed `u64`, and plan tags), and
+/// their length.
+fn params_layout() -> (usize, usize, usize) {
     let bytes = engine_snapshot_bytes();
     let sections = read_sections(bytes).unwrap();
     let payload = sections
         .iter()
-        .find(|(kind, _)| *kind == SECTION_EW_ARENAS)
+        .find(|(kind, _)| *kind == SECTION_PREPARED)
         .map(|(_, payload)| *payload)
-        .expect("acyclic prepared query must persist an EW arenas section");
+        .expect("the fixture caches one prepared query");
+    let mut w = ByteWriter::new();
+    encode_query(&small_query(), &mut w);
+    let head = w.into_bytes().len() + 8 + PLAN_TAG_BYTES;
     let offset = payload.as_ptr() as usize - bytes.as_ptr() as usize;
-    (offset, payload.len())
+    (offset, head, payload.len() - head)
+}
+
+/// The fixture snapshot with its sections edited and every checksum
+/// recomputed — corruption a CRC cannot catch.
+fn resectioned(edit: impl FnOnce(&mut [(u32, Vec<u8>)])) -> Vec<u8> {
+    let mut sections: Vec<(u32, Vec<u8>)> = read_sections(engine_snapshot_bytes())
+        .unwrap()
+        .into_iter()
+        .map(|(kind, payload)| (kind, payload.to_vec()))
+        .collect();
+    edit(&mut sections);
+    write_sections(&sections)
 }
 
 /// An acyclic prepared query persists its count tables + alias arenas
-/// as a `SECTION_EW_ARENAS` entry directly after its prepared section
-/// — the pairing the restore path depends on.
+/// inside its prepared section's parameters: no other section kind
+/// appears, and the parameters hold at least one count per base row.
 #[test]
-fn engine_snapshots_carry_ew_arena_sections() {
+fn engine_snapshots_carry_ew_arenas_in_params() {
     let sections = read_sections(engine_snapshot_bytes()).unwrap();
     let kinds: Vec<u32> = sections.iter().map(|(kind, _)| *kind).collect();
-    let pos = kinds
-        .iter()
-        .position(|&k| k == SECTION_EW_ARENAS)
-        .expect("acyclic prepared query must persist an EW arenas section");
-    assert!(pos > 0, "arenas can never lead the section list");
     assert_eq!(
-        kinds[pos - 1],
-        SECTION_PREPARED,
-        "arenas must directly follow their prepared entry: {kinds:?}"
+        kinds.iter().filter(|&&k| k == SECTION_PREPARED).count(),
+        1,
+        "{kinds:?}"
     );
-    let (_, len) = ew_arena_span();
-    assert!(len > 0, "arena payload must not be empty");
+    assert!(
+        kinds
+            .iter()
+            .all(|&k| [SECTION_ENGINE_META, SECTION_RELATION, SECTION_PREPARED].contains(&k)),
+        "parameters must not spill into sections of their own: {kinds:?}"
+    );
+    let (_, _, len) = params_layout();
+    let base_rows = 40; // r and s, 20 rows each
+    assert!(
+        len > 8 * base_rows,
+        "parameters ({len} bytes) must carry a u64 count per base row"
+    );
+}
+
+/// Bytes written under the previous engine format version are refused
+/// with `UnsupportedVersion` — and the refusal never falls back to the
+/// `.prev` generation, which would mask a deployment mismatch.
+#[test]
+fn previous_engine_format_version_is_refused_without_fallback() {
+    let previous = ENGINE_FORMAT_VERSION - 1;
+    // The meta section leads; its payload starts with the version.
+    let old = resectioned(|sections| sections[0].1[..4].copy_from_slice(&previous.to_le_bytes()));
+    let unsupported = |r: Result<Engine, CoreError>| {
+        matches!(
+            r,
+            Err(CoreError::Snapshot(SnapshotError::UnsupportedVersion(v))) if v == previous
+        )
+    };
+    assert!(unsupported(Engine::load_snapshot_bytes(&old)));
+
+    let scratch = SnapDir::new("previous_version.snap");
+    small_engine().save_snapshot(&scratch.path).unwrap();
+    small_engine().save_snapshot(&scratch.path).unwrap();
+    assert!(snapshot_prev_path(&scratch.path).exists());
+    std::fs::write(&scratch.path, &old).unwrap();
+    assert!(
+        unsupported(Engine::load_snapshot(&scratch.path)),
+        "an old-format main file must not fall back to `.prev`"
+    );
 }
 
 /// Restoring an engine snapshot and re-snapshotting it reproduces the
