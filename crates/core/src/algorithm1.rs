@@ -19,8 +19,7 @@
 //!
 //! Expected cost is `N + N log N` total join-sampling calls (Theorem 2).
 //!
-//! The sampler implements [`UnionSampler`]; construct it directly or —
-//! preferably — through
+//! The sampler implements [`UnionSampler`]; it is reached through
 //! [`SamplerBuilder`](crate::session::SamplerBuilder) with
 //! [`Strategy::Rejection`](crate::session::Strategy).
 
@@ -33,7 +32,6 @@ use crate::workload::UnionWorkload;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
-use suj_join::weights::build_sampler;
 use suj_join::{JoinSampler, WeightKind};
 use suj_stats::{Categorical, SujRng};
 use suj_storage::{FxHashMap, Tuple};
@@ -50,7 +48,7 @@ pub enum CoverPolicy {
 
 /// Configuration of the set-union sampler.
 #[derive(Debug, Clone, Copy)]
-pub struct UnionSamplerConfig {
+pub(crate) struct UnionSamplerConfig {
     /// Weight instantiation for the per-join subroutine (§3.2).
     pub weights: WeightKind,
     /// Cover ownership policy.
@@ -81,7 +79,7 @@ impl Default for UnionSamplerConfig {
 }
 
 /// The set-union sampler (Algorithm 1).
-pub struct SetUnionSampler {
+pub(crate) struct SetUnionSampler {
     workload: Arc<UnionWorkload>,
     cover: Cover,
     selection: Option<Categorical>,
@@ -108,26 +106,11 @@ pub struct SetUnionSampler {
 }
 
 impl SetUnionSampler {
-    /// Builds the sampler from an overlap map (exact or estimated).
-    pub fn new(
-        workload: Arc<UnionWorkload>,
-        overlap: &OverlapMap,
-        config: UnionSamplerConfig,
-    ) -> Result<Self, CoreError> {
-        let samplers = workload
-            .joins()
-            .iter()
-            .map(|j| build_sampler(j.clone(), config.weights).map(Arc::from))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(CoreError::Join)?;
-        Self::with_shared(workload, overlap, config, samplers)
-    }
-
     /// Builds the sampler over pre-built per-join samplers (shared with
     /// other handles of the same prepared query). All mutable record /
     /// report state starts fresh, so handles built over the same shared
     /// parts are fully independent sampling processes.
-    pub fn with_shared(
+    pub(crate) fn with_shared(
         workload: Arc<UnionWorkload>,
         overlap: &OverlapMap,
         config: UnionSamplerConfig,
@@ -164,11 +147,6 @@ impl SetUnionSampler {
             pending: VecDeque::new(),
             canon_scratch: Vec::new(),
         })
-    }
-
-    /// The cover in use.
-    pub fn cover(&self) -> &Cover {
-        &self.cover
     }
 }
 
@@ -297,7 +275,17 @@ impl UnionSampler for SetUnionSampler {
 mod tests {
     use super::*;
     use crate::exact::full_join_union;
+    use crate::params::build_samplers;
     use suj_storage::{Relation, Schema, Value};
+
+    fn set_union(
+        workload: Arc<UnionWorkload>,
+        overlap: &OverlapMap,
+        config: UnionSamplerConfig,
+    ) -> Result<SetUnionSampler, CoreError> {
+        let samplers = build_samplers(&workload, config.weights)?;
+        SetUnionSampler::with_shared(workload, overlap, config, samplers)
+    }
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Arc<Relation> {
         let schema = Schema::new(attrs.iter().copied()).unwrap();
@@ -371,7 +359,7 @@ mod tests {
     fn oracle_policy_is_uniform() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let mut sampler = SetUnionSampler::new(
+        let mut sampler = set_union(
             w,
             &exact.overlap,
             UnionSamplerConfig {
@@ -392,7 +380,7 @@ mod tests {
     fn record_policy_is_uniform_and_revises() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let mut sampler = SetUnionSampler::new(
+        let mut sampler = set_union(
             w,
             &exact.overlap,
             UnionSamplerConfig {
@@ -418,7 +406,7 @@ mod tests {
     fn eo_weights_also_uniform() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let mut sampler = SetUnionSampler::new(
+        let mut sampler = set_union(
             w,
             &exact.overlap,
             UnionSamplerConfig {
@@ -440,7 +428,7 @@ mod tests {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
         for strategy in [CoverStrategy::DescendingSize, CoverStrategy::AscendingSize] {
-            let mut sampler = SetUnionSampler::new(
+            let mut sampler = set_union(
                 w.clone(),
                 &exact.overlap,
                 UnionSamplerConfig {
@@ -469,7 +457,7 @@ mod tests {
         )
         .unwrap();
         let map = est.overlap_map().unwrap();
-        let mut sampler = SetUnionSampler::new(
+        let mut sampler = set_union(
             w.clone(),
             &map,
             UnionSamplerConfig {
@@ -491,8 +479,7 @@ mod tests {
     fn zero_requested_samples() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let mut sampler =
-            SetUnionSampler::new(w, &exact.overlap, UnionSamplerConfig::default()).unwrap();
+        let mut sampler = set_union(w, &exact.overlap, UnionSamplerConfig::default()).unwrap();
         let mut rng = SujRng::seed_from_u64(6);
         let (samples, report) = sampler.sample(0, &mut rng).unwrap();
         assert!(samples.is_empty());
@@ -523,7 +510,7 @@ mod tests {
         let w = Arc::new(UnionWorkload::new(vec![Arc::new(live), Arc::new(empty)]).unwrap());
         // Deliberately wrong estimates giving the empty join mass.
         let map = OverlapMap::new(2, vec![0.0, 2.0, 5.0, 0.0]).unwrap();
-        let mut sampler = SetUnionSampler::new(w, &map, UnionSamplerConfig::default()).unwrap();
+        let mut sampler = set_union(w, &map, UnionSamplerConfig::default()).unwrap();
         let mut rng = SujRng::seed_from_u64(8);
         let (samples, report) = sampler.sample(50, &mut rng).unwrap();
         assert_eq!(samples.len(), 50);
@@ -534,7 +521,7 @@ mod tests {
     fn mismatched_overlap_map_rejected() {
         let w = workload();
         let bad = OverlapMap::new(1, vec![0.0, 5.0]).unwrap();
-        assert!(SetUnionSampler::new(w, &bad, UnionSamplerConfig::default()).is_err());
+        assert!(set_union(w, &bad, UnionSamplerConfig::default()).is_err());
     }
 
     #[test]
@@ -544,7 +531,7 @@ mod tests {
         // draws should sit well under the bound.
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let mut sampler = SetUnionSampler::new(
+        let mut sampler = set_union(
             w,
             &exact.overlap,
             UnionSamplerConfig {
@@ -574,8 +561,8 @@ mod tests {
             policy: CoverPolicy::MembershipOracle,
             ..Default::default()
         };
-        let mut batch = SetUnionSampler::new(w.clone(), &exact.overlap, cfg).unwrap();
-        let mut incremental = SetUnionSampler::new(w, &exact.overlap, cfg).unwrap();
+        let mut batch = set_union(w.clone(), &exact.overlap, cfg).unwrap();
+        let mut incremental = set_union(w, &exact.overlap, cfg).unwrap();
         let mut rng_a = SujRng::seed_from_u64(17);
         let mut rng_b = SujRng::seed_from_u64(17);
         let (samples, _) = batch.sample(200, &mut rng_a).unwrap();
@@ -592,8 +579,7 @@ mod tests {
     fn record_policy_retractions_reference_live_emissions() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let mut sampler =
-            SetUnionSampler::new(w, &exact.overlap, UnionSamplerConfig::default()).unwrap();
+        let mut sampler = set_union(w, &exact.overlap, UnionSamplerConfig::default()).unwrap();
         let mut rng = SujRng::seed_from_u64(18);
         let mut emitted = 0u64;
         let mut retracted = 0u64;

@@ -94,7 +94,7 @@ impl Default for OnlineConfig {
 }
 
 /// The online union sampler (Algorithm 2).
-pub struct OnlineUnionSampler {
+pub(crate) struct OnlineUnionSampler {
     workload: Arc<UnionWorkload>,
     config: OnlineConfig,
     strategy: CoverStrategy,
@@ -193,7 +193,7 @@ fn init_state(
 
 impl OnlineUnionSampler {
     /// Builds the sampler.
-    pub fn new(
+    pub(crate) fn new(
         workload: Arc<UnionWorkload>,
         config: OnlineConfig,
         strategy: CoverStrategy,

@@ -16,9 +16,11 @@
 //! "this algorithm has a high rejection ratio for highly overlapping
 //! joins".
 //!
-//! The sampler implements [`UnionSampler`]; designation rejections are
-//! plain rejections (no sample is ever withdrawn), so both policies
-//! stream without retractions.
+//! The sampler implements [`UnionSampler`] and is reached through
+//! [`SamplerBuilder`](crate::session::SamplerBuilder) with
+//! [`Strategy::Bernoulli`](crate::session::Strategy). Designation
+//! rejections are plain rejections (no sample is ever withdrawn), so
+//! both policies stream without retractions.
 
 use crate::error::CoreError;
 use crate::report::RunReport;
@@ -27,8 +29,7 @@ use crate::workload::UnionWorkload;
 use std::sync::Arc;
 use std::time::Instant;
 use suj_join::membership::first_containing;
-use suj_join::weights::build_sampler;
-use suj_join::{JoinSampler, WeightKind};
+use suj_join::JoinSampler;
 use suj_stats::SujRng;
 use suj_storage::Tuple;
 
@@ -45,10 +46,9 @@ pub enum DesignationPolicy {
 }
 
 /// Bernoulli union-trick sampler.
-pub struct BernoulliUnionSampler {
+pub(crate) struct BernoulliUnionSampler {
     workload: Arc<UnionWorkload>,
-    /// Shared per-join samplers (see
-    /// [`SetUnionSampler::with_shared`](crate::algorithm1::SetUnionSampler::with_shared)).
+    /// Shared per-join samplers (see `SetUnionSampler::with_shared`).
     samplers: Vec<Arc<dyn JoinSampler>>,
     /// Selection probability per join: `|J_j| / |U|`.
     probabilities: Vec<f64>,
@@ -67,50 +67,17 @@ pub struct BernoulliUnionSampler {
 }
 
 impl BernoulliUnionSampler {
-    /// Builds the sampler with the exact membership-oracle designation.
-    /// `join_sizes` and `union_size` typically come from an estimator's
-    /// `OverlapMap`.
-    pub fn new(
-        workload: Arc<UnionWorkload>,
-        join_sizes: &[f64],
-        union_size: f64,
-        weights: WeightKind,
-    ) -> Result<Self, CoreError> {
-        Self::with_policy(
-            workload,
-            join_sizes,
-            union_size,
-            weights,
-            DesignationPolicy::Oracle,
-        )
-    }
-
-    /// Builds the sampler with an explicit designation policy.
-    pub fn with_policy(
-        workload: Arc<UnionWorkload>,
-        join_sizes: &[f64],
-        union_size: f64,
-        weights: WeightKind,
-        policy: DesignationPolicy,
-    ) -> Result<Self, CoreError> {
-        let samplers = workload
-            .joins()
-            .iter()
-            .map(|j| build_sampler(j.clone(), weights).map(Arc::from))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(CoreError::Join)?;
-        Self::with_shared(workload, join_sizes, union_size, samplers, policy)
-    }
-
     /// Builds the sampler over pre-built per-join samplers (shared with
     /// other handles of the same prepared query); record state starts
-    /// fresh per handle.
-    pub fn with_shared(
+    /// fresh per handle. `max_join_tries` is the per-draw attempt
+    /// budget of the join-sampling subroutine.
+    pub(crate) fn with_shared(
         workload: Arc<UnionWorkload>,
         join_sizes: &[f64],
         union_size: f64,
         samplers: Vec<Arc<dyn JoinSampler>>,
         policy: DesignationPolicy,
+        max_join_tries: u64,
     ) -> Result<Self, CoreError> {
         let n = workload.n_joins();
         if join_sizes.len() != n {
@@ -137,7 +104,7 @@ impl BernoulliUnionSampler {
             samplers,
             probabilities,
             policy,
-            max_join_tries: 1_000_000,
+            max_join_tries,
             record: Default::default(),
             cursor: 0,
             fired_this_round: false,
@@ -146,17 +113,6 @@ impl BernoulliUnionSampler {
             emitted: 0,
             canon_scratch: Vec::new(),
         })
-    }
-
-    /// The designation policy in use.
-    pub fn policy(&self) -> DesignationPolicy {
-        self.policy
-    }
-
-    /// Overrides the per-draw attempt budget of the join-sampling
-    /// subroutine.
-    pub fn set_max_join_tries(&mut self, tries: u64) {
-        self.max_join_tries = tries;
     }
 }
 
@@ -247,7 +203,21 @@ impl UnionSampler for BernoulliUnionSampler {
 mod tests {
     use super::*;
     use crate::exact::full_join_union;
+    use crate::params::build_samplers;
+    use suj_join::WeightKind;
     use suj_storage::{FxHashMap, Relation, Schema, Value};
+
+    fn bernoulli(
+        workload: Arc<UnionWorkload>,
+        join_sizes: &[f64],
+        union_size: f64,
+        policy: DesignationPolicy,
+    ) -> Result<BernoulliUnionSampler, CoreError> {
+        let samplers = build_samplers(&workload, WeightKind::Exact)?;
+        BernoulliUnionSampler::with_shared(
+            workload, join_sizes, union_size, samplers, policy, 1_000_000,
+        )
+    }
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Arc<Relation> {
         let schema = Schema::new(attrs.iter().copied()).unwrap();
@@ -291,11 +261,11 @@ mod tests {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
         let sizes: Vec<f64> = (0..2).map(|j| exact.join_size(j) as f64).collect();
-        let mut sampler = BernoulliUnionSampler::new(
+        let mut sampler = bernoulli(
             w.clone(),
             &sizes,
             exact.union_size() as f64,
-            WeightKind::Exact,
+            DesignationPolicy::Oracle,
         )
         .unwrap();
         let mut rng = SujRng::seed_from_u64(55);
@@ -340,11 +310,11 @@ mod tests {
         };
         let exact = full_join_union(&w_overlap).unwrap();
         let sizes: Vec<f64> = (0..2).map(|j| exact.join_size(j) as f64).collect();
-        let mut sampler = BernoulliUnionSampler::new(
+        let mut sampler = bernoulli(
             w_overlap,
             &sizes,
             exact.union_size() as f64,
-            WeightKind::Exact,
+            DesignationPolicy::Oracle,
         )
         .unwrap();
         let mut rng = SujRng::seed_from_u64(66);
@@ -360,11 +330,10 @@ mod tests {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
         let sizes: Vec<f64> = (0..2).map(|j| exact.join_size(j) as f64).collect();
-        let mut sampler = BernoulliUnionSampler::with_policy(
+        let mut sampler = bernoulli(
             w,
             &sizes,
             exact.union_size() as f64,
-            WeightKind::Exact,
             DesignationPolicy::Record,
         )
         .unwrap();
@@ -382,8 +351,8 @@ mod tests {
     #[test]
     fn invalid_inputs_rejected() {
         let w = workload();
-        assert!(BernoulliUnionSampler::new(w.clone(), &[1.0], 2.0, WeightKind::Exact).is_err());
-        assert!(BernoulliUnionSampler::new(w, &[1.0, 1.0], 0.0, WeightKind::Exact).is_err());
+        assert!(bernoulli(w.clone(), &[1.0], 2.0, DesignationPolicy::Oracle).is_err());
+        assert!(bernoulli(w, &[1.0, 1.0], 0.0, DesignationPolicy::Oracle).is_err());
     }
 
     #[test]
@@ -391,9 +360,13 @@ mod tests {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
         let sizes: Vec<f64> = (0..2).map(|j| exact.join_size(j) as f64).collect();
-        let mut sampler =
-            BernoulliUnionSampler::new(w, &sizes, exact.union_size() as f64, WeightKind::Exact)
-                .unwrap();
+        let mut sampler = bernoulli(
+            w,
+            &sizes,
+            exact.union_size() as f64,
+            DesignationPolicy::Oracle,
+        )
+        .unwrap();
         let mut rng = SujRng::seed_from_u64(88);
         let (_, first) = sampler.sample(100, &mut rng).unwrap();
         let (_, second) = sampler.sample(100, &mut rng).unwrap();

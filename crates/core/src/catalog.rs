@@ -3,8 +3,8 @@
 //!
 //! This is the declarative counterpart to
 //! [`SamplerBuilder`]: register
-//! relations once (in memory, from CSV, or imported from a generated
-//! [`suj_storage::Catalog`]), describe a
+//! relations once (in memory, from CSV, or imported from another
+//! catalog such as the TPC-H generator's), describe a
 //! [`UnionQuery`] by relation *name*, and
 //! let the engine's [`Planner`] pick the
 //! estimator × strategy × cover × predicate-mode configuration.
@@ -126,23 +126,20 @@ impl Catalog {
         self.register(relation)
     }
 
-    /// Imports every relation of a storage-layer catalog (e.g. the
-    /// TPC-H generator's output); names must not collide with existing
-    /// registrations. Returns how many relations were added.
-    pub fn import(&mut self, source: &suj_storage::Catalog) -> Result<usize, CoreError> {
-        let names: Vec<String> = source.names().map(String::from).collect();
-        for name in &names {
-            if self.contains(name) {
-                return Err(CoreError::Storage(StorageError::DuplicateRelation(
-                    name.clone(),
-                )));
-            }
+    /// Imports every relation of another catalog (e.g. the TPC-H
+    /// generator's output), sharing the relations; no name may collide
+    /// with an existing registration, and on a collision nothing is
+    /// imported. Returns how many relations were added.
+    pub fn import(&mut self, source: &Catalog) -> Result<usize, CoreError> {
+        if let Some(name) = source.names().find(|name| self.contains(name)) {
+            return Err(CoreError::Storage(StorageError::DuplicateRelation(
+                name.to_string(),
+            )));
         }
-        for name in &names {
-            let rel = source.get(name).map_err(CoreError::Storage)?;
-            self.register_arc(rel)?;
+        for name in &source.order {
+            self.register_arc(source.relations[name].clone())?;
         }
-        Ok(names.len())
+        Ok(source.len())
     }
 
     /// Looks up a relation by name.
@@ -650,6 +647,12 @@ mod tests {
         assert!(c.get("missing").is_err());
         // Duplicate name rejected.
         assert!(c.register(rel("r", &["x"], vec![])).is_err());
+        // Names come back in registration order.
+        let mut ordered = Catalog::new();
+        for n in ["z", "m", "a"] {
+            ordered.register(rel(n, &["x"], vec![vec![1]])).unwrap();
+        }
+        assert_eq!(ordered.names().collect::<Vec<_>>(), ["z", "m", "a"]);
     }
 
     #[test]
@@ -663,8 +666,8 @@ mod tests {
     }
 
     #[test]
-    fn catalog_imports_storage_catalogs() {
-        let mut source = suj_storage::Catalog::new();
+    fn catalog_imports_another_catalog() {
+        let mut source = Catalog::new();
         source.register(rel("x", &["a"], vec![vec![1]])).unwrap();
         source.register(rel("y", &["a"], vec![vec![2]])).unwrap();
         let mut c = Catalog::new();
@@ -672,6 +675,13 @@ mod tests {
         assert!(c.contains("x") && c.contains("y"));
         // A second import collides and changes nothing.
         assert!(c.import(&source).is_err());
+        assert_eq!(c.len(), 2);
+        // A partial collision imports none of the source either.
+        let mut partial = Catalog::new();
+        partial.register(rel("w", &["a"], vec![vec![3]])).unwrap();
+        partial.register(rel("x", &["a"], vec![vec![4]])).unwrap();
+        assert!(c.import(&partial).is_err());
+        assert!(!c.contains("w"));
         assert_eq!(c.len(), 2);
     }
 

@@ -118,9 +118,9 @@ pub mod stream;
 pub mod walk_estimator;
 pub mod workload;
 
-pub use algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
-pub use algorithm2::{OnlineConfig, OnlineUnionSampler};
-pub use bernoulli::{BernoulliUnionSampler, DesignationPolicy};
+pub use algorithm1::CoverPolicy;
+pub use algorithm2::OnlineConfig;
+pub use bernoulli::DesignationPolicy;
 pub use catalog::{Catalog, Engine, PreparedQuery};
 pub use cover::{Cover, CoverStrategy};
 pub use error::CoreError;
@@ -128,9 +128,7 @@ pub use exact::{full_join_union, ExactUnion};
 pub use hist_estimator::{DegreeMode, HistogramEstimator};
 pub use overlap::OverlapMap;
 pub use planner::{Plan, PlanRule, Planner, PlannerConfig, WorkloadStats};
-pub use predicate_mode::{
-    can_push_down, push_down, FilteredSampler, PredicateMode, PredicateSampler,
-};
+pub use predicate_mode::{can_push_down, push_down, PredicateMode};
 pub use query::{JoinDef, ResolvedQuery, UnionQuery, UnionSemantics};
 pub use report::{LatencyHistogram, PlanSummary, RunReport};
 pub use sampler::{Draw, UnionSampler};
@@ -145,20 +143,17 @@ pub use workload::{UnionWorkload, MAX_JOINS};
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
-    pub use crate::algorithm2::{OnlineConfig, OnlineUnionSampler};
-    pub use crate::bernoulli::{BernoulliUnionSampler, DesignationPolicy};
+    pub use crate::algorithm1::CoverPolicy;
+    pub use crate::algorithm2::OnlineConfig;
+    pub use crate::bernoulli::DesignationPolicy;
     pub use crate::catalog::{Catalog, Engine, PreparedQuery};
     pub use crate::cover::{Cover, CoverStrategy};
-    pub use crate::disjoint::DisjointUnionSampler;
     pub use crate::error::CoreError;
     pub use crate::exact::{full_join_union, ExactUnion};
     pub use crate::hist_estimator::{DegreeMode, HistogramEstimator};
     pub use crate::overlap::OverlapMap;
     pub use crate::planner::{Plan, PlanRule, Planner, PlannerConfig, WorkloadStats};
-    pub use crate::predicate_mode::{
-        can_push_down, push_down, FilteredSampler, PredicateMode, PredicateSampler,
-    };
+    pub use crate::predicate_mode::{can_push_down, push_down, PredicateMode};
     pub use crate::query::{JoinDef, ResolvedQuery, UnionQuery, UnionSemantics};
     pub use crate::report::{LatencyHistogram, PlanSummary, RunReport};
     pub use crate::sampler::{Draw, UnionSampler};

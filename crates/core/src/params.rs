@@ -214,7 +214,7 @@ pub(crate) fn derive_params(
 }
 
 /// One sampler per join, built with `weights`.
-fn build_samplers(
+pub(crate) fn build_samplers(
     workload: &UnionWorkload,
     weights: WeightKind,
 ) -> Result<Vec<Arc<dyn JoinSampler>>, CoreError> {

@@ -400,7 +400,9 @@ impl SamplerBuilder {
                     sizes: params.join_sizes()?,
                     union_size: params.overlap()?.union_size(),
                     policy,
-                    max_join_tries: self.max_join_tries,
+                    max_join_tries: self
+                        .max_join_tries
+                        .unwrap_or(UnionSamplerConfig::default().max_join_tries),
                 };
                 (kind, params, passes)
             }
@@ -511,7 +513,7 @@ enum PreparedKind {
         sizes: Vec<f64>,
         union_size: f64,
         policy: DesignationPolicy,
-        max_join_tries: Option<u64>,
+        max_join_tries: u64,
     },
     /// Disjoint-union sampling (Definition 1).
     Disjoint {
@@ -596,26 +598,17 @@ impl PreparedSampler {
                 union_size,
                 policy,
                 max_join_tries,
-            } => {
-                let mut sampler = BernoulliUnionSampler::with_shared(
-                    self.workload.clone(),
-                    sizes,
-                    *union_size,
-                    samplers.clone(),
-                    *policy,
-                )?;
-                if let Some(tries) = max_join_tries {
-                    sampler.set_max_join_tries(*tries);
-                }
-                Box::new(sampler)
-            }
-            PreparedKind::Disjoint { samplers, sizes } => {
-                Box::new(DisjointUnionSampler::with_shared(
-                    self.workload.clone(),
-                    sizes.clone(),
-                    samplers.clone(),
-                )?)
-            }
+            } => Box::new(BernoulliUnionSampler::with_shared(
+                self.workload.clone(),
+                sizes,
+                *union_size,
+                samplers.clone(),
+                *policy,
+                *max_join_tries,
+            )?),
+            PreparedKind::Disjoint { samplers, sizes } => Box::new(
+                DisjointUnionSampler::with_shared(self.workload.clone(), sizes, samplers.clone())?,
+            ),
         };
         let mut sampler: Box<dyn UnionSampler + Send> = match &self.reject_predicate {
             Some(p) => Box::new(PredicateSampler::new(base, p)?),
@@ -962,14 +955,16 @@ mod tests {
         assert!(SamplerBuilder::for_joins(vec![Arc::new(j1), Arc::new(j_bad)]).is_err());
     }
 
-    /// The builder path must be byte-identical to the legacy
-    /// direct-constructor path (same seed, same estimator inputs).
+    /// The builder path must be byte-identical to constructing the
+    /// sampler by hand over the same estimator inputs (same seed).
     #[test]
     fn builder_matches_direct_construction() {
         let w = workload();
         let exact = crate::exact::full_join_union(&w).unwrap();
+        let config = UnionSamplerConfig::default();
+        let samplers = crate::params::build_samplers(&w, config.weights).unwrap();
         let mut direct =
-            SetUnionSampler::new(w.clone(), &exact.overlap, UnionSamplerConfig::default()).unwrap();
+            SetUnionSampler::with_shared(w.clone(), &exact.overlap, config, samplers).unwrap();
         let mut built = SamplerBuilder::for_workload(w)
             .estimator(Estimator::Exact)
             .build()

@@ -126,6 +126,7 @@ mod tests {
     use super::*;
     use crate::algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
     use crate::exact::full_join_union;
+    use crate::session::{Estimator, SamplerBuilder};
     use crate::workload::UnionWorkload;
     use std::sync::Arc;
     use suj_storage::{Relation, Schema, Value};
@@ -157,21 +158,21 @@ mod tests {
         Arc::new(UnionWorkload::new(vec![Arc::new(j1), Arc::new(j2)]).unwrap())
     }
 
+    fn oracle_sampler(w: &Arc<UnionWorkload>) -> Box<dyn UnionSampler + Send> {
+        SamplerBuilder::for_workload(w.clone())
+            .estimator(Estimator::Exact)
+            .cover_policy(CoverPolicy::MembershipOracle)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn stream_yields_members_lazily() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let mut sampler = SetUnionSampler::new(
-            w,
-            &exact.overlap,
-            UnionSamplerConfig {
-                policy: CoverPolicy::MembershipOracle,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut sampler = oracle_sampler(&w);
         let mut rng = SujRng::seed_from_u64(1);
-        let samples: Vec<_> = SampleStream::over(&mut sampler, &mut rng)
+        let samples: Vec<_> = SampleStream::over(&mut *sampler, &mut rng)
             .take(50)
             .collect::<Result<_, _>>()
             .unwrap();
@@ -184,17 +185,12 @@ mod tests {
     #[test]
     fn oracle_stream_matches_batch_seed_for_seed() {
         let w = workload();
-        let exact = full_join_union(&w).unwrap();
-        let cfg = UnionSamplerConfig {
-            policy: CoverPolicy::MembershipOracle,
-            ..Default::default()
-        };
-        let mut a = SetUnionSampler::new(w.clone(), &exact.overlap, cfg).unwrap();
-        let mut b = SetUnionSampler::new(w, &exact.overlap, cfg).unwrap();
+        let mut a = oracle_sampler(&w);
+        let mut b = oracle_sampler(&w);
         let mut rng_a = SujRng::seed_from_u64(2);
         let mut rng_b = SujRng::seed_from_u64(2);
         let (batch, _) = a.sample(100, &mut rng_a).unwrap();
-        let streamed: Vec<_> = SampleStream::over(&mut b, &mut rng_b)
+        let streamed: Vec<_> = SampleStream::over(&mut *b, &mut rng_b)
             .take(100)
             .collect::<Result<_, _>>()
             .unwrap();
@@ -206,7 +202,9 @@ mod tests {
         let w = workload();
         // A zero overlap map → empty union → draw errors.
         let map = crate::overlap::OverlapMap::new(2, vec![0.0; 4]).unwrap();
-        let mut sampler = SetUnionSampler::new(w, &map, UnionSamplerConfig::default()).unwrap();
+        let config = UnionSamplerConfig::default();
+        let samplers = crate::params::build_samplers(&w, config.weights).unwrap();
+        let mut sampler = SetUnionSampler::with_shared(w, &map, config, samplers).unwrap();
         let mut rng = SujRng::seed_from_u64(3);
         let mut stream = SampleStream::over(&mut sampler, &mut rng);
         assert!(matches!(stream.next(), Some(Err(_))));

@@ -1,12 +1,13 @@
 //! Property-based tests for the union framework over randomized
-//! two-join workloads.
+//! two-join workloads, plus golden digests pinning the builder's
+//! samplers on one fixed workload.
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
 use std::sync::Arc;
-use suj_core::algorithm1::UnionSamplerConfig;
 use suj_core::prelude::*;
-use suj_join::{JoinSpec, WeightKind};
+use suj_core::session::Strategy as SujStrategy;
+use suj_join::JoinSpec;
 use suj_stats::SujRng;
 use suj_storage::{FxHashSet, Relation, Schema, Tuple, Value};
 
@@ -21,6 +22,81 @@ fn rel(name: &str, attrs: [&str; 2], rows: &[(i64, i64)]) -> Arc<Relation> {
     Arc::new(Relation::new(name, schema, tuples).unwrap())
 }
 
+/// Two joins over (a, b, c) sharing their second relation's rows.
+fn two_joins(r1: &[(i64, i64)], r2: &[(i64, i64)], s: &[(i64, i64)]) -> UnionWorkload {
+    let j1 = JoinSpec::chain(
+        "j1",
+        vec![rel("r1", ["a", "b"], r1), rel("s1", ["b", "c"], s)],
+    )
+    .unwrap();
+    let j2 = JoinSpec::chain(
+        "j2",
+        vec![rel("r2", ["a", "b"], r2), rel("s2", ["b", "c"], s)],
+    )
+    .unwrap();
+    UnionWorkload::new(vec![Arc::new(j1), Arc::new(j2)]).unwrap()
+}
+
+/// A sampler over exact parameters (`policy` applies to Algorithm 1
+/// only).
+fn exact_sampler(
+    w: &Arc<UnionWorkload>,
+    strategy: SujStrategy,
+    policy: Option<CoverPolicy>,
+) -> Box<dyn UnionSampler + Send> {
+    let builder = SamplerBuilder::for_workload(w.clone())
+        .estimator(Estimator::Exact)
+        .strategy(strategy);
+    match policy {
+        Some(policy) => builder.cover_policy(policy),
+        None => builder,
+    }
+    .build()
+    .unwrap()
+}
+
+/// FNV-1a (64-bit) over each tuple's `Display` form plus a newline.
+fn digest(tuples: &[Tuple]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for t in tuples {
+        for byte in format!("{t}\n").bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// The builder reproduces, seed for seed, the samples the original
+/// direct constructors drew on a fixed instance of the property
+/// workloads — Algorithm 1 under each cover policy and the disjoint
+/// sampler over exact sizes, all with exact weights; the digests were
+/// recorded from those constructors.
+#[test]
+fn builder_outputs_match_golden_digests() {
+    let s = [(0, 10), (1, 11), (1, 12), (2, 13), (3, 14)];
+    let w = Arc::new(two_joins(
+        &[(1, 0), (2, 1), (3, 1), (4, 2)],
+        &[(1, 0), (2, 1), (5, 3)],
+        &s,
+    ));
+    let draw = |mut sampler: Box<dyn UnionSampler + Send>, n: usize| {
+        let mut rng = SujRng::seed_from_u64(5);
+        let samples = sampler.sample(n, &mut rng).unwrap().0;
+        assert_eq!(samples.len(), n);
+        digest(&samples)
+    };
+    for (policy, golden) in [
+        (CoverPolicy::Record, 0xddd5_3d45_5170_9bd8),
+        (CoverPolicy::MembershipOracle, 0x562b_05f3_5c51_6c85),
+    ] {
+        let sampler = exact_sampler(&w, SujStrategy::Rejection, Some(policy));
+        assert_eq!(draw(sampler, 25), golden, "{policy:?}");
+    }
+    let disjoint = exact_sampler(&w, SujStrategy::Disjoint, None);
+    assert_eq!(draw(disjoint, 20), 0x9c28_53bc_c8dc_372f);
+}
+
 /// A random two-join workload over (a, b, c) with a shared second
 /// relation (guaranteeing non-trivial overlap potential).
 fn workload() -> impl Strategy<Value = UnionWorkload> {
@@ -29,19 +105,7 @@ fn workload() -> impl Strategy<Value = UnionWorkload> {
         prop::collection::vec((0i64..10, 0i64..5), 2..20),
         prop::collection::vec((0i64..5, 0i64..8), 2..16),
     )
-        .prop_map(|(r1, r2, s)| {
-            let j1 = JoinSpec::chain(
-                "j1",
-                vec![rel("r1", ["a", "b"], &r1), rel("s1", ["b", "c"], &s)],
-            )
-            .unwrap();
-            let j2 = JoinSpec::chain(
-                "j2",
-                vec![rel("r2", ["a", "b"], &r2), rel("s2", ["b", "c"], &s)],
-            )
-            .unwrap();
-            UnionWorkload::new(vec![Arc::new(j1), Arc::new(j2)]).unwrap()
-        })
+        .prop_map(|(r1, r2, s)| two_joins(&r1, &r2, &s))
 }
 
 proptest! {
@@ -75,15 +139,7 @@ proptest! {
         prop_assume!(!exact.union_set.is_empty());
         let w = Arc::new(w);
         for policy in [CoverPolicy::Record, CoverPolicy::MembershipOracle] {
-            let mut sampler = SetUnionSampler::new(
-                w.clone(),
-                &exact.overlap,
-                UnionSamplerConfig {
-                    policy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let mut sampler = exact_sampler(&w, SujStrategy::Rejection, Some(policy));
             let mut rng = SujRng::seed_from_u64(seed);
             let (samples, report) = sampler.sample(25, &mut rng).unwrap();
             prop_assert_eq!(samples.len(), 25);
@@ -116,8 +172,7 @@ proptest! {
         let exact = full_join_union(&w).unwrap();
         prop_assume!(exact.join_size(0) + exact.join_size(1) > 0);
         let w = Arc::new(w);
-        let mut sampler =
-            DisjointUnionSampler::with_exact_sizes(w.clone(), WeightKind::Exact).unwrap();
+        let mut sampler = exact_sampler(&w, SujStrategy::Disjoint, None);
         let mut rng = SujRng::seed_from_u64(seed);
         let (samples, _) = sampler.sample(20, &mut rng).unwrap();
         prop_assert_eq!(samples.len(), 20);

@@ -632,5 +632,14 @@ mod tests {
         let hostile = w.into_bytes();
         assert_eq!(hostile.len(), 12);
         assert!(matches!(decode_batch(&hostile), Err(NetError::Protocol(_))));
+        // A `Prepare` whose predicate nests 20,000 `Not`s is refused
+        // before the decoder's recursion can exhaust the stack.
+        let query = UnionQuery::set_union().chain("q", ["a", "b"]).unwrap();
+        let mut deep = encode_prepare(&query);
+        deep.truncate(deep.len() - 2); // no predicate, no mode
+        deep.push(1); // Some(predicate)
+        deep.extend(std::iter::repeat_n(4u8, 20_000)); // Not, Not, …
+        deep.extend([0, 0]); // True; no predicate mode
+        assert!(matches!(decode_prepare(&deep), Err(NetError::Protocol(_))));
     }
 }

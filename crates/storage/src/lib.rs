@@ -29,7 +29,6 @@
 //! * [`predicate`] — selection predicates with a tuple-at-a-time
 //!   oracle and a column-at-a-time [`SelectionBitmap`] path for §8.3
 //!   push-down.
-//! * [`catalog`] — a named collection of relations.
 //! * [`csv`] — CSV import/export for relations (header row, quoting,
 //!   Int → Float → Str inference, streaming column build).
 //! * [`hash`] — a fast non-cryptographic hasher (Fx) used by all hot
@@ -63,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod catalog;
 pub mod column;
 pub mod csv;
 pub mod error;
@@ -78,7 +76,6 @@ pub mod sorted;
 pub mod tuple;
 pub mod value;
 
-pub use catalog::Catalog;
 pub use column::{hash_cells, CellRef, Column, ColumnBuilder, StrPool, Validity};
 pub use csv::{read_csv, write_csv};
 pub use error::StorageError;
@@ -95,7 +92,6 @@ pub use value::Value;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::catalog::Catalog;
     pub use crate::column::{hash_cells, CellRef, Column, ColumnBuilder, StrPool, Validity};
     pub use crate::csv::{read_csv, write_csv};
     pub use crate::error::StorageError;

@@ -709,8 +709,24 @@ pub fn encode_predicate(p: &Predicate, w: &mut ByteWriter) {
     }
 }
 
-/// Deserializes one [`Predicate`].
+/// Deepest `And` / `Or` / `Not` nesting [`decode_predicate`] accepts:
+/// far above any predicate the planner or a caller builds, and low
+/// enough that a hostile payload cannot recurse the decoder off the
+/// end of its thread's stack.
+const MAX_PREDICATE_DEPTH: usize = 256;
+
+/// Deserializes one [`Predicate`]; nesting deeper than 256 levels is
+/// rejected as corrupt.
 pub fn decode_predicate(r: &mut ByteReader<'_>) -> Result<Predicate, SnapshotError> {
+    decode_predicate_at(r, 0)
+}
+
+fn decode_predicate_at(r: &mut ByteReader<'_>, depth: usize) -> Result<Predicate, SnapshotError> {
+    if depth > MAX_PREDICATE_DEPTH {
+        return Err(SnapshotError::Corrupt(format!(
+            "predicate nested deeper than {MAX_PREDICATE_DEPTH} levels"
+        )));
+    }
     match r.get_u8()? {
         0 => Ok(Predicate::True),
         1 => {
@@ -733,7 +749,7 @@ pub fn decode_predicate(r: &mut ByteReader<'_>) -> Result<Predicate, SnapshotErr
             let n = r.get_len(1)?;
             let mut ps = Vec::with_capacity(n);
             for _ in 0..n {
-                ps.push(decode_predicate(r)?);
+                ps.push(decode_predicate_at(r, depth + 1)?);
             }
             Ok(Predicate::And(ps))
         }
@@ -741,11 +757,11 @@ pub fn decode_predicate(r: &mut ByteReader<'_>) -> Result<Predicate, SnapshotErr
             let n = r.get_len(1)?;
             let mut ps = Vec::with_capacity(n);
             for _ in 0..n {
-                ps.push(decode_predicate(r)?);
+                ps.push(decode_predicate_at(r, depth + 1)?);
             }
             Ok(Predicate::Or(ps))
         }
-        4 => Ok(Predicate::Not(Box::new(decode_predicate(r)?))),
+        4 => Ok(Predicate::Not(Box::new(decode_predicate_at(r, depth + 1)?))),
         tag => Err(SnapshotError::Corrupt(format!(
             "unknown predicate tag {tag}"
         ))),
@@ -1160,6 +1176,32 @@ mod tests {
         let bytes = w.into_bytes();
         let back = decode_predicate(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(p, back);
+    }
+
+    #[test]
+    fn predicate_nesting_is_bounded() {
+        // `levels` nested `Not`s around `True`, in the encoded form.
+        let nested = |levels: usize| {
+            let mut bytes = vec![4u8; levels];
+            bytes.push(0);
+            bytes
+        };
+        let mut p = Predicate::True;
+        for _ in 0..MAX_PREDICATE_DEPTH {
+            p = Predicate::Not(Box::new(p));
+        }
+        let at_limit = nested(MAX_PREDICATE_DEPTH);
+        let back = decode_predicate(&mut ByteReader::new(&at_limit)).unwrap();
+        assert_eq!(back, p);
+        // One level deeper, or a hostile 20,000-level chain, is corrupt
+        // input rather than a stack overflow.
+        for levels in [MAX_PREDICATE_DEPTH + 1, 20_000] {
+            let deep = nested(levels);
+            assert!(matches!(
+                decode_predicate(&mut ByteReader::new(&deep)),
+                Err(SnapshotError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

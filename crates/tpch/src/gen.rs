@@ -11,8 +11,9 @@
 
 use crate::tables::*;
 use crate::text;
+use suj_core::Catalog;
 use suj_stats::{SujRng, Zipf};
-use suj_storage::{Catalog, ColumnBuilder, Relation};
+use suj_storage::{ColumnBuilder, Relation};
 
 /// Generator configuration.
 #[derive(Debug, Clone, Copy)]

@@ -2,20 +2,34 @@
 //!
 //! For a fixed `SujRng` seed, every sampler reached through
 //! `SamplerBuilder` (and consumed through the `UnionSampler` trait or a
-//! `SampleStream`) must produce byte-identical tuples to the legacy
-//! direct-constructor path. Samplers that never retract also get
+//! `SampleStream`) must reproduce, byte for byte, the tuples the
+//! original direct-constructor path produced. Those outputs are pinned
+//! as golden digests (`digest`: FNV-1a over each tuple's `Display`
+//! line), recorded from the constructors before the builder became the
+//! only way to build a sampler. Samplers that never retract also get
 //! stream-vs-batch parity; the suite closes with a chi-squared
 //! uniformity check run entirely through `Box<dyn UnionSampler>`.
 
 use sample_union_joins::prelude::*;
 use std::sync::Arc;
-use suj_core::algorithm2::OnlineConfig;
-use suj_core::walk_estimator::{walk_warmup, WalkEstimatorConfig};
-use suj_join::WeightKind;
+use suj_core::walk_estimator::WalkEstimatorConfig;
 use suj_storage::{CompareOp, FxHashMap, Predicate, Value};
 
 fn workload() -> Arc<UnionWorkload> {
     Arc::new(uq3(&UqOptions::new(1, 61, 0.3)).expect("uq3"))
+}
+
+/// FNV-1a (64-bit) over each tuple's `Display` form plus a newline: a
+/// stable fingerprint of a sample sequence, order included.
+fn digest(tuples: &[Tuple]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for t in tuples {
+        for byte in format!("{t}\n").bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
 }
 
 fn batch(sampler: &mut dyn UnionSampler, n: usize, seed: u64) -> Vec<Tuple> {
@@ -31,17 +45,22 @@ fn streamed(sampler: &mut dyn UnionSampler, n: usize, seed: u64) -> Vec<Tuple> {
         .expect("stream")
 }
 
+/// Asserts `out` is the `n`-tuple sequence the golden digest pins.
+fn assert_golden(out: &[Tuple], n: usize, golden: u64) {
+    assert_eq!(out.len(), n);
+    assert_eq!(
+        digest(out),
+        golden,
+        "sample sequence drifted from the recorded output"
+    );
+}
+
 #[test]
 fn algorithm1_oracle_builder_and_stream_match_legacy() {
+    // Recorded from `SetUnionSampler::new` with the oracle policy over
+    // the exact overlap map.
+    const GOLDEN: u64 = 0x97ad_587e_d2dc_72fc;
     let w = workload();
-    let exact = full_join_union(&w).unwrap();
-    let cfg = UnionSamplerConfig {
-        policy: CoverPolicy::MembershipOracle,
-        ..Default::default()
-    };
-    let mut legacy = SetUnionSampler::new(w.clone(), &exact.overlap, cfg).unwrap();
-    let legacy_out = batch(&mut legacy, 300, 7);
-
     let build = || {
         SamplerBuilder::for_workload(w.clone())
             .estimator(Estimator::Exact)
@@ -50,69 +69,57 @@ fn algorithm1_oracle_builder_and_stream_match_legacy() {
             .unwrap()
     };
     let mut via_builder = build();
-    assert_eq!(batch(&mut via_builder, 300, 7), legacy_out);
+    assert_golden(&batch(&mut via_builder, 300, 7), 300, GOLDEN);
 
     // The oracle policy never retracts → streaming is byte-identical
     // too.
     let mut via_stream = build();
-    assert_eq!(streamed(&mut via_stream, 300, 7), legacy_out);
+    assert_golden(&streamed(&mut via_stream, 300, 7), 300, GOLDEN);
 }
 
 #[test]
 fn algorithm1_record_builder_matches_legacy() {
+    // Recorded from `SetUnionSampler::new` with the default (record)
+    // configuration over the exact overlap map.
+    const GOLDEN: u64 = 0xf0ff_823e_1fb2_d447;
     // UQ2 is the high-overlap workload: the record machinery (cover
     // rejections and revisions) actually fires here.
     let w = Arc::new(uq2(&UqOptions::new(1, 62, 0.2)).expect("uq2"));
-    let exact = full_join_union(&w).unwrap();
-    let mut legacy =
-        SetUnionSampler::new(w.clone(), &exact.overlap, UnionSamplerConfig::default()).unwrap();
-    let legacy_out = batch(&mut legacy, 300, 8);
-    assert!(
-        legacy.report().revised > 0 || legacy.report().rejected_cover > 0,
-        "workload must exercise the record machinery"
-    );
-
     let mut via_builder = SamplerBuilder::for_workload(w)
         .estimator(Estimator::Exact)
         .cover_policy(CoverPolicy::Record)
         .build()
         .unwrap();
-    assert_eq!(batch(&mut via_builder, 300, 8), legacy_out);
+    assert_golden(&batch(&mut via_builder, 300, 8), 300, GOLDEN);
+    assert!(
+        via_builder.report().revised > 0 || via_builder.report().rejected_cover > 0,
+        "workload must exercise the record machinery"
+    );
 }
 
 #[test]
 fn algorithm1_walk_estimator_builder_matches_legacy() {
+    // Recorded from `SetUnionSampler::new` (oracle policy) over the map
+    // of a hand-wired `walk_warmup` seeded with 123.
+    const GOLDEN: u64 = 0x22cb_82aa_6925_cdb5;
     let w = workload();
     let walk_cfg = WalkEstimatorConfig {
         max_walks_per_join: 300,
         ..Default::default()
     };
-    // Legacy path: hand-wired walk warm-up feeding the constructor.
-    let mut est_rng = SujRng::seed_from_u64(123);
-    let est = walk_warmup(&w, &walk_cfg, &mut est_rng).unwrap();
-    let map = est.overlap_map().unwrap();
-    let mut legacy = SetUnionSampler::new(
-        w.clone(),
-        &map,
-        UnionSamplerConfig {
-            policy: CoverPolicy::MembershipOracle,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let legacy_out = batch(&mut legacy, 200, 9);
-
     let mut via_builder = SamplerBuilder::for_workload(w)
         .estimator(Estimator::Walk(walk_cfg))
         .estimation_seed(123)
         .cover_policy(CoverPolicy::MembershipOracle)
         .build()
         .unwrap();
-    assert_eq!(batch(&mut via_builder, 200, 9), legacy_out);
+    assert_golden(&batch(&mut via_builder, 200, 9), 200, GOLDEN);
 }
 
 #[test]
 fn online_builder_matches_legacy() {
+    // Recorded from `OnlineUnionSampler::new` in workload cover order.
+    const GOLDEN: u64 = 0x4dc6_a353_4d71_d45d;
     let w = workload();
     let cfg = OnlineConfig {
         phi: 64,
@@ -123,33 +130,19 @@ fn online_builder_matches_legacy() {
         },
         ..Default::default()
     };
-    let mut legacy = OnlineUnionSampler::new(w.clone(), cfg, CoverStrategy::AsGiven);
-    let legacy_out = batch(&mut legacy, 250, 10);
-
     let mut via_builder = SamplerBuilder::for_workload(w)
         .strategy(Strategy::Online(cfg))
         .build()
         .unwrap();
-    assert_eq!(batch(&mut via_builder, 250, 10), legacy_out);
+    assert_golden(&batch(&mut via_builder, 250, 10), 250, GOLDEN);
 }
 
 #[test]
 fn bernoulli_builder_and_stream_match_legacy() {
+    // Recorded from `BernoulliUnionSampler::new` (oracle designation)
+    // fed the exact overlap map's join and union sizes.
+    const GOLDEN: u64 = 0x1fa1_1267_cf44_bd55;
     let w = workload();
-    let exact = full_join_union(&w).unwrap();
-    // Legacy path fed with the same estimator outputs the builder uses.
-    let sizes: Vec<f64> = (0..w.n_joins())
-        .map(|j| exact.overlap.join_size(j))
-        .collect();
-    let mut legacy = BernoulliUnionSampler::new(
-        w.clone(),
-        &sizes,
-        exact.overlap.union_size(),
-        WeightKind::Exact,
-    )
-    .unwrap();
-    let legacy_out = batch(&mut legacy, 300, 11);
-
     let build = || {
         SamplerBuilder::for_workload(w.clone())
             .estimator(Estimator::Exact)
@@ -158,17 +151,17 @@ fn bernoulli_builder_and_stream_match_legacy() {
             .unwrap()
     };
     let mut via_builder = build();
-    assert_eq!(batch(&mut via_builder, 300, 11), legacy_out);
+    assert_golden(&batch(&mut via_builder, 300, 11), 300, GOLDEN);
     let mut via_stream = build();
-    assert_eq!(streamed(&mut via_stream, 300, 11), legacy_out);
+    assert_golden(&streamed(&mut via_stream, 300, 11), 300, GOLDEN);
 }
 
 #[test]
 fn disjoint_builder_and_stream_match_legacy() {
+    // Recorded from `DisjointUnionSampler::with_exact_sizes` with
+    // exact weights.
+    const GOLDEN: u64 = 0xf7a6_b3e3_8ac8_1d3f;
     let w = workload();
-    let mut legacy = DisjointUnionSampler::with_exact_sizes(w.clone(), WeightKind::Exact).unwrap();
-    let legacy_out = batch(&mut legacy, 300, 12);
-
     let build = || {
         SamplerBuilder::for_workload(w.clone())
             .estimator(Estimator::Exact)
@@ -177,40 +170,29 @@ fn disjoint_builder_and_stream_match_legacy() {
             .unwrap()
     };
     let mut via_builder = build();
-    assert_eq!(batch(&mut via_builder, 300, 12), legacy_out);
+    assert_golden(&batch(&mut via_builder, 300, 12), 300, GOLDEN);
     let mut via_stream = build();
-    assert_eq!(streamed(&mut via_stream, 300, 12), legacy_out);
+    assert_golden(&streamed(&mut via_stream, 300, 12), 300, GOLDEN);
 }
 
 #[test]
 fn predicate_wrapper_matches_hand_wrapped_sampler() {
+    // Recorded from an oracle-policy `SetUnionSampler::new` wrapped by
+    // hand in `PredicateSampler::new`.
+    const GOLDEN: u64 = 0xf90d_5c6d_f430_d2b4;
     let w = workload();
-    let exact = full_join_union(&w).unwrap();
     let pred = Predicate::cmp(
         w.canonical_schema().attrs()[0].as_ref(),
         CompareOp::Ge,
         Value::int(0),
     );
-    // Legacy-ish path: construct the sampler directly, wrap by hand.
-    let inner = SetUnionSampler::new(
-        w.clone(),
-        &exact.overlap,
-        UnionSamplerConfig {
-            policy: CoverPolicy::MembershipOracle,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let mut hand_wrapped = PredicateSampler::new(Box::new(inner), &pred).unwrap();
-    let legacy_out = batch(&mut hand_wrapped, 200, 13);
-
     let mut via_builder = SamplerBuilder::for_workload(w)
         .estimator(Estimator::Exact)
         .cover_policy(CoverPolicy::MembershipOracle)
         .predicate(pred, PredicateMode::Reject)
         .build()
         .unwrap();
-    assert_eq!(batch(&mut via_builder, 200, 13), legacy_out);
+    assert_golden(&batch(&mut via_builder, 200, 13), 200, GOLDEN);
 }
 
 #[test]
