@@ -14,12 +14,14 @@
 
 use crate::error::CoreError;
 use crate::report::RunReport;
+use crate::rows::{self, DrawnBatch, RowBatch, RowStrategy};
 use crate::sampler::{Draw, UnionSampler};
 use crate::workload::UnionWorkload;
 use std::sync::Arc;
 use std::time::Instant;
 use suj_join::JoinSampler;
 use suj_stats::{Categorical, SujRng};
+use suj_storage::Tuple;
 
 /// Sampler over the disjoint union of a workload's joins.
 pub(crate) struct DisjointUnionSampler {
@@ -32,8 +34,8 @@ pub(crate) struct DisjointUnionSampler {
     /// Reusable row-id draw scratch: rejected attempts allocate
     /// nothing.
     draw: suj_join::RowDraw,
-    /// Reusable canonicalization scratch (one accepted draw each).
-    canon_scratch: Vec<suj_storage::Value>,
+    /// Reusable one-draw batch behind `draw`.
+    scratch: Option<RowBatch>,
 }
 
 impl DisjointUnionSampler {
@@ -68,37 +70,47 @@ impl DisjointUnionSampler {
             report: RunReport::new(n_joins),
             emitted: 0,
             draw: suj_join::RowDraw::new(),
-            canon_scratch: Vec::new(),
+            scratch: None,
         })
+    }
+}
+
+impl RowStrategy for DisjointUnionSampler {
+    fn next_rows(
+        &mut self,
+        want: usize,
+        rng: &mut SujRng,
+        out: &mut RowBatch,
+    ) -> Result<(), CoreError> {
+        let Some(selection) = &self.selection else {
+            return Err(CoreError::Invalid(
+                "cannot sample from an empty disjoint union".into(),
+            ));
+        };
+        let mut accepted = 0;
+        while accepted < want {
+            let j = selection.draw(rng);
+            self.report.join_draws[j] += 1;
+            if self.samplers[j].sample_rows(rng, &mut self.draw) {
+                out.push(j, self.draw.rows());
+                accepted += 1;
+            } else {
+                self.report.rejected_join += 1;
+            }
+        }
+        self.emitted += want as u64;
+        self.report.accepted += want as u64;
+        Ok(())
+    }
+
+    fn scratch(&mut self) -> &mut Option<RowBatch> {
+        &mut self.scratch
     }
 }
 
 impl UnionSampler for DisjointUnionSampler {
     fn draw(&mut self, rng: &mut SujRng) -> Result<Draw, CoreError> {
-        if self.selection.is_none() {
-            return Err(CoreError::Invalid(
-                "cannot sample from an empty disjoint union".into(),
-            ));
-        }
-        loop {
-            let j = self.selection.as_ref().expect("checked above").draw(rng);
-            self.report.join_draws[j] += 1;
-            let start = Instant::now();
-            if self.samplers[j].sample_rows(rng, &mut self.draw) {
-                let local = self.samplers[j].materialize(&self.draw);
-                let t = self
-                    .workload
-                    .to_canonical_into(j, &local, &mut self.canon_scratch);
-                let idx = self.emitted;
-                self.emitted += 1;
-                self.report.accepted += 1;
-                self.report.accepted_time += start.elapsed();
-                return Ok(Draw::Tuple(idx, t));
-            } else {
-                self.report.rejected_join += 1;
-                self.report.rejected_time += start.elapsed();
-            }
-        }
+        rows::draw(self, rng)
     }
 
     fn report(&self) -> &RunReport {
@@ -120,6 +132,26 @@ impl UnionSampler for DisjointUnionSampler {
     fn may_retract(&self) -> bool {
         false // draws never interact (Definition 1)
     }
+
+    fn sample_within(
+        &mut self,
+        n: usize,
+        rng: &mut SujRng,
+        deadline: Option<Instant>,
+    ) -> Result<(Vec<Tuple>, RunReport), CoreError> {
+        let (batch, report) = rows::sample_batch(self, n, rng, deadline)?;
+        Ok((batch.to_tuples(), report))
+    }
+
+    fn sample_batch_within(
+        &mut self,
+        n: usize,
+        rng: &mut SujRng,
+        deadline: Option<Instant>,
+    ) -> Result<(DrawnBatch, RunReport), CoreError> {
+        let (batch, report) = rows::sample_batch(self, n, rng, deadline)?;
+        Ok((DrawnBatch::Rows(batch), report))
+    }
 }
 
 #[cfg(test)]
@@ -128,7 +160,7 @@ mod tests {
     use crate::exact::full_join_union;
     use crate::params::build_samplers;
     use suj_join::WeightKind;
-    use suj_storage::{FxHashMap, Relation, Schema, Tuple, Value};
+    use suj_storage::{FxHashMap, Relation, Schema, Value};
 
     /// The sampler over exact (EW) join sizes.
     fn disjoint(

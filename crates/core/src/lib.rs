@@ -110,6 +110,7 @@ pub mod planner;
 pub mod predicate_mode;
 pub mod query;
 pub mod report;
+pub mod rows;
 pub mod sampler;
 pub mod serve;
 pub mod session;
@@ -131,10 +132,11 @@ pub use planner::{Plan, PlanRule, Planner, PlannerConfig, WorkloadStats};
 pub use predicate_mode::{can_push_down, push_down, PredicateMode};
 pub use query::{JoinDef, ResolvedQuery, UnionQuery, UnionSemantics};
 pub use report::{LatencyHistogram, PlanSummary, RunReport};
+pub use rows::{DrawnBatch, RowBatch};
 pub use sampler::{Draw, UnionSampler};
 pub use serve::{
-    RequestTarget, SampleRequest, SampleResponse, SamplingService, ServiceConfig, ServiceStats,
-    SubmitError, Ticket,
+    BatchResponse, RequestTarget, SampleRequest, SampleResponse, SamplingService, ServiceConfig,
+    ServiceStats, SubmitError, Ticket,
 };
 pub use session::{Estimator, HistogramOptions, PreparedSampler, SamplerBuilder, Strategy};
 pub use stream::SampleStream;
@@ -156,10 +158,11 @@ pub mod prelude {
     pub use crate::predicate_mode::{can_push_down, push_down, PredicateMode};
     pub use crate::query::{JoinDef, ResolvedQuery, UnionQuery, UnionSemantics};
     pub use crate::report::{LatencyHistogram, PlanSummary, RunReport};
+    pub use crate::rows::{DrawnBatch, RowBatch};
     pub use crate::sampler::{Draw, UnionSampler};
     pub use crate::serve::{
-        RequestTarget, SampleRequest, SampleResponse, SamplingService, ServiceConfig, ServiceStats,
-        SubmitError, Ticket,
+        BatchResponse, RequestTarget, SampleRequest, SampleResponse, SamplingService,
+        ServiceConfig, ServiceStats, SubmitError, Ticket,
     };
     pub use crate::session::{
         Estimator, HistogramOptions, PreparedSampler, SamplerBuilder, Strategy,

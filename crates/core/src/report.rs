@@ -104,6 +104,19 @@ impl LatencyHistogram {
         self.recorded += 1;
     }
 
+    /// Records a batch of `draws` draws that took `elapsed` in all:
+    /// `draws` records of the mean per-draw latency, at the cost of
+    /// one. The count still equals the number of draws, and the
+    /// percentiles keep their per-draw scale.
+    pub(crate) fn record_batch(&mut self, elapsed: Duration, draws: u64) {
+        if draws == 0 {
+            return;
+        }
+        let per_draw = elapsed / u32::try_from(draws).unwrap_or(u32::MAX);
+        self.counts[Self::bucket(per_draw)] += draws;
+        self.recorded += draws;
+    }
+
     /// Total draws recorded.
     pub fn count(&self) -> u64 {
         self.recorded
@@ -217,13 +230,21 @@ pub struct RunReport {
     /// Per-draw latency distribution (recorded by the batch
     /// [`sample`](crate::sampler::UnionSampler::sample) loop and by the
     /// serving workers); p50/p99 feed
-    /// [`SamplingService`](crate::serve::SamplingService) stats.
+    /// [`SamplingService`](crate::serve::SamplingService) stats. Row
+    /// strategies (Bernoulli, disjoint) time a whole batch and record
+    /// its mean per-draw latency once per draw; tuple strategies time
+    /// each draw.
     pub draw_latency: LatencyHistogram,
     /// Warm-up / parameter-estimation wall time.
     pub warmup_time: Duration,
-    /// Wall time spent producing accepted answers.
+    /// Wall time spent producing accepted answers. Tuple strategies
+    /// time every attempt; row strategies (Bernoulli, disjoint) time
+    /// each batch (each `draw` call) as a whole and split it between
+    /// this field and [`rejected_time`](Self::rejected_time) by the
+    /// share of accepted join selections.
     pub accepted_time: Duration,
-    /// Wall time spent producing rejected answers.
+    /// Wall time spent producing rejected answers (batch-level for row
+    /// strategies, see [`accepted_time`](Self::accepted_time)).
     pub rejected_time: Duration,
     /// Wall time spent in the reuse phase (Algorithm 2).
     pub reuse_time: Duration,
@@ -238,6 +259,22 @@ impl RunReport {
             join_draws: vec![0; n_joins],
             ..Self::default()
         }
+    }
+
+    /// Books the wall time of one row-strategy batch, timed as a whole
+    /// rather than per draw: `elapsed` is split between
+    /// [`accepted_time`](Self::accepted_time) and
+    /// [`rejected_time`](Self::rejected_time) in proportion to the
+    /// batch's `accepted` and `rejected` join selections.
+    pub(crate) fn book_batch(&mut self, elapsed: Duration, accepted: u64, rejected: u64) {
+        let total = accepted + rejected;
+        if total == 0 {
+            self.rejected_time += elapsed;
+            return;
+        }
+        let accepted_time = elapsed.mul_f64(accepted as f64 / total as f64);
+        self.accepted_time += accepted_time;
+        self.rejected_time += elapsed.saturating_sub(accepted_time);
     }
 
     /// Total sampling attempts that reached the cover logic.

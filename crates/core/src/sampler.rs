@@ -36,6 +36,7 @@
 
 use crate::error::CoreError;
 use crate::report::RunReport;
+use crate::rows::DrawnBatch;
 use crate::workload::UnionWorkload;
 use std::sync::Arc;
 use suj_stats::SujRng;
@@ -119,14 +120,16 @@ pub trait UnionSampler: Send {
         self.sample_within(n, rng, None)
     }
 
-    /// [`sample`](UnionSampler::sample) with an optional deadline,
-    /// checked before every draw: once `deadline` passes the run
-    /// aborts with [`CoreError::DeadlineExceeded`] instead of running
-    /// unbounded.
+    /// [`sample`](UnionSampler::sample) with an optional deadline:
+    /// once `deadline` passes the run aborts with
+    /// [`CoreError::DeadlineExceeded`] instead of running unbounded.
     ///
-    /// The check piggybacks on the per-draw latency timestamp, so it
-    /// costs nothing extra, and it never alters the draw sequence —
-    /// a run that finishes before the deadline is bit-identical to
+    /// Tuple strategies check before every draw, on the per-draw
+    /// latency timestamp. Row strategies (Bernoulli, disjoint) time
+    /// whole batches and read the clock for the deadline alone, before
+    /// the first draw and then at least every 64 draws. Either way the
+    /// check never alters the draw sequence — a run that finishes
+    /// before the deadline is bit-identical to
     /// [`sample`](UnionSampler::sample) with no deadline at all (the
     /// serving tier's determinism contract depends on this).
     fn sample_within(
@@ -175,6 +178,22 @@ pub trait UnionSampler: Send {
             .collect();
         Ok((result, self.report().delta_since(&baseline)))
     }
+
+    /// [`sample_within`](UnionSampler::sample_within), returning the
+    /// batch in the form the strategy produced it: row ids
+    /// ([`DrawnBatch::Rows`]) from the Bernoulli and disjoint
+    /// strategies, tuples otherwise. Same draws, same counters; the
+    /// serving tier encodes row batches straight into wire columns
+    /// without building a tuple.
+    fn sample_batch_within(
+        &mut self,
+        n: usize,
+        rng: &mut SujRng,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<(DrawnBatch, RunReport), CoreError> {
+        let (tuples, report) = self.sample_within(n, rng, deadline)?;
+        Ok((DrawnBatch::Tuples(tuples), report))
+    }
 }
 
 impl<S: UnionSampler + ?Sized> UnionSampler for Box<S> {
@@ -213,6 +232,15 @@ impl<S: UnionSampler + ?Sized> UnionSampler for Box<S> {
         deadline: Option<std::time::Instant>,
     ) -> Result<(Vec<Tuple>, RunReport), CoreError> {
         (**self).sample_within(n, rng, deadline)
+    }
+
+    fn sample_batch_within(
+        &mut self,
+        n: usize,
+        rng: &mut SujRng,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<(DrawnBatch, RunReport), CoreError> {
+        (**self).sample_batch_within(n, rng, deadline)
     }
 }
 

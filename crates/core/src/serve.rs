@@ -60,6 +60,7 @@ use crate::catalog::{Engine, PreparedQuery};
 use crate::error::CoreError;
 use crate::query::UnionQuery;
 use crate::report::RunReport;
+use crate::rows::DrawnBatch;
 use crate::sampler::UnionSampler;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -245,6 +246,30 @@ pub struct SampleResponse {
     pub report: RunReport,
 }
 
+/// A served response as the strategy produced it: row ids for the
+/// Bernoulli and disjoint strategies, tuples otherwise (see
+/// [`UnionSampler::sample_batch_within`]). The network tier encodes
+/// row batches straight into wire columns.
+#[derive(Debug, Clone)]
+pub struct BatchResponse {
+    /// The request id this response answers.
+    pub id: u64,
+    /// The drawn samples (`request.n` of them).
+    pub batch: DrawnBatch,
+    /// Counters and timings for this request only.
+    pub report: RunReport,
+}
+
+impl From<BatchResponse> for SampleResponse {
+    fn from(response: BatchResponse) -> Self {
+        SampleResponse {
+            id: response.id,
+            tuples: response.batch.into_tuples(),
+            report: response.report,
+        }
+    }
+}
+
 /// Why a submission was not accepted.
 #[derive(Debug)]
 pub enum SubmitError {
@@ -294,7 +319,7 @@ impl From<SubmitError> for CoreError {
 /// replies.
 pub struct Ticket {
     id: u64,
-    rx: mpsc::Receiver<Result<SampleResponse, CoreError>>,
+    rx: mpsc::Receiver<Result<BatchResponse, CoreError>>,
 }
 
 impl Ticket {
@@ -303,8 +328,15 @@ impl Ticket {
         self.id
     }
 
-    /// Blocks until the request is served.
+    /// Blocks until the request is served; row batches are
+    /// materialized into tuples on the calling thread.
     pub fn wait(self) -> Result<SampleResponse, CoreError> {
+        self.wait_batch().map(SampleResponse::from)
+    }
+
+    /// Blocks until the request is served, returning the batch as the
+    /// strategy produced it.
+    pub fn wait_batch(self) -> Result<BatchResponse, CoreError> {
         self.rx.recv().map_err(|_| {
             CoreError::Invalid(format!(
                 "request {} lost: its worker terminated before replying",
@@ -316,7 +348,7 @@ impl Ticket {
 
 struct Job {
     request: SampleRequest,
-    reply: mpsc::SyncSender<Result<SampleResponse, CoreError>>,
+    reply: mpsc::SyncSender<Result<BatchResponse, CoreError>>,
 }
 
 #[derive(Default)]
@@ -401,7 +433,7 @@ fn serve_request(
     engine: &Engine,
     root_seed: u64,
     request: &SampleRequest,
-) -> Result<SampleResponse, CoreError> {
+) -> Result<BatchResponse, CoreError> {
     #[cfg(feature = "faults")]
     if request.panic_for_test {
         panic!(
@@ -415,10 +447,10 @@ fn serve_request(
     };
     let mut handle = prepared.sampler(request.seed)?;
     let mut rng = SujRng::derive(root_seed, request.seed);
-    let (tuples, report) = handle.sample_within(request.n, &mut rng, request.deadline)?;
-    Ok(SampleResponse {
+    let (batch, report) = handle.sample_batch_within(request.n, &mut rng, request.deadline)?;
+    Ok(BatchResponse {
         id: request.id,
-        tuples,
+        batch,
         report,
     })
 }
@@ -480,7 +512,7 @@ impl SamplingService {
                             counters.completed.fetch_add(1, Ordering::Relaxed);
                             counters
                                 .tuples_served
-                                .fetch_add(response.tuples.len() as u64, Ordering::Relaxed);
+                                .fetch_add(response.batch.len() as u64, Ordering::Relaxed);
                             lock(&counters.aggregate).merge(&response.report);
                         }
                         Err(_) => {

@@ -6,11 +6,17 @@
 //! sampled tuples are re-ordered to the first join's attribute order so
 //! that `t.val` comparisons (set-union semantics, Example 3) are
 //! positional.
+//!
+//! The workload also composes each join's output fill plan
+//! ([`JoinSpec::output_sources`]) with that reordering, so a row-id
+//! draw `(j, rows)` reads any canonical cell straight out of the base
+//! columns ([`UnionWorkload::cell`]) — the access path of row-id union
+//! batches ([`RowBatch`](crate::rows::RowBatch)).
 
 use crate::error::CoreError;
 use std::sync::Arc;
 use suj_join::{JoinSpec, MembershipOracle};
-use suj_storage::{Schema, Tuple, Value};
+use suj_storage::{CellRef, Column, Schema, Tuple, Value};
 
 /// Maximum number of joins in one workload.
 ///
@@ -29,6 +35,10 @@ pub struct UnionWorkload {
     /// Per join: `projections[j][k]` = local output position of canonical
     /// attribute `k`.
     projections: Vec<Vec<usize>>,
+    /// Per join: `sources[j][k]` = `(relation, column)` of join `j`
+    /// that canonical attribute `k` is read from — `projections[j]`
+    /// composed with the join's output fill plan.
+    sources: Vec<Vec<(u32, u32)>>,
     oracles: Vec<Arc<MembershipOracle>>,
 }
 
@@ -59,10 +69,19 @@ impl UnionWorkload {
                 MembershipOracle::new(j, &canonical).map_err(CoreError::Join)?,
             ));
         }
+        let sources = joins
+            .iter()
+            .zip(&projections)
+            .map(|(j, proj)| {
+                let out_src = j.output_sources();
+                proj.iter().map(|&p| out_src[p]).collect()
+            })
+            .collect();
         Ok(Self {
             joins,
             canonical,
             projections,
+            sources,
             oracles,
         })
     }
@@ -99,6 +118,37 @@ impl UnionWorkload {
     /// only the tuple's own allocation.
     pub fn to_canonical_into(&self, j: usize, local: &Tuple, scratch: &mut Vec<Value>) -> Tuple {
         local.project_into(&self.projections[j], scratch)
+    }
+
+    /// The base column canonical position `k` of join `j` is read
+    /// from, and the relation whose row id selects the cell.
+    #[inline]
+    pub fn source_column(&self, j: usize, k: usize) -> (&Column, usize) {
+        let (r, c) = self.sources[j][k];
+        (
+            self.joins[j].relation(r as usize).column(c as usize),
+            r as usize,
+        )
+    }
+
+    /// Canonical cell `k` of the row combination `rows` (indexed by
+    /// relation) drawn from join `j`, read in place — no allocation.
+    #[inline]
+    pub fn cell(&self, j: usize, rows: &[u32], k: usize) -> CellRef<'_> {
+        let (column, r) = self.source_column(j, k);
+        column.cell(rows[r] as usize)
+    }
+
+    /// The canonical tuple of the row combination `rows` drawn from
+    /// join `j`: equal to `to_canonical(j, join_sampler.materialize(..))`
+    /// but built with one allocation, straight from the base columns.
+    pub fn canonical_tuple(&self, j: usize, rows: &[u32]) -> Tuple {
+        let mut vals: Vec<Value> = Vec::with_capacity(self.sources[j].len());
+        vals.extend((0..self.sources[j].len()).map(|k| {
+            let (column, r) = self.source_column(j, k);
+            column.value(rows[r] as usize)
+        }));
+        Tuple::new(vals)
     }
 
     /// Membership oracle of join `j` over canonical tuples.

@@ -90,9 +90,6 @@ pub struct CyclicJoinSampler {
     max_block: Vec<usize>,
     /// `agm_root · Π max_block` — the bag-semantics output bound.
     size_bound: f64,
-    /// Output fill plan: for each output position, the first relation
-    /// containing the attribute and its column there.
-    out_src: Vec<(u32, u32)>,
 }
 
 impl CyclicJoinSampler {
@@ -135,18 +132,6 @@ impl CyclicJoinSampler {
         let max_block: Vec<usize> = sorted.iter().map(|idx| idx.max_block().max(1)).collect();
         let size_bound = agm_root * max_block.iter().map(|&m| m as f64).product::<f64>();
 
-        let arity = spec.output_schema().arity();
-        let mut out_src = vec![(0u32, 0u32); arity];
-        let mut claimed = vec![false; arity];
-        for i in 0..n {
-            for (k, &p) in spec.out_positions(i).iter().enumerate() {
-                if !claimed[p] {
-                    claimed[p] = true;
-                    out_src[p] = (i as u32, k as u32);
-                }
-            }
-        }
-
         Ok(Self {
             spec,
             cover,
@@ -156,7 +141,6 @@ impl CyclicJoinSampler {
             agm_root,
             max_block,
             size_bound,
-            out_src,
         })
     }
 
@@ -330,14 +314,7 @@ impl JoinSampler for CyclicJoinSampler {
     }
 
     fn materialize(&self, draw: &RowDraw) -> Tuple {
-        let mut vals: Vec<Value> = Vec::with_capacity(self.out_src.len());
-        vals.extend(self.out_src.iter().map(|&(r, k)| {
-            self.spec
-                .relation(r as usize)
-                .column(k as usize)
-                .value(draw.rows[r as usize] as usize)
-        }));
-        Tuple::new(vals)
+        self.spec.materialize(draw.rows())
     }
 
     /// `AGM(root) · Π_i max_block_i` — an upper bound on the bag-join

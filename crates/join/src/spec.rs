@@ -11,7 +11,7 @@
 use crate::error::JoinError;
 use std::fmt;
 use std::sync::Arc;
-use suj_storage::{Relation, Schema};
+use suj_storage::{Relation, Schema, Tuple, Value};
 
 /// An equality edge between two relations of a join.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,6 +35,10 @@ pub struct JoinSpec {
     /// Per relation: position of each of its attributes in the output
     /// schema.
     out_positions: Vec<Vec<usize>>,
+    /// Output fill plan: output position `p` is read from column
+    /// `out_src[p].1` of relation `out_src[p].0` (the first relation,
+    /// in spec order, holding the attribute).
+    out_src: Vec<(u32, u32)>,
 }
 
 impl JoinSpec {
@@ -136,7 +140,17 @@ impl JoinSpec {
                     .map(|a| output_schema.position(a).expect("attr in union"))
                     .collect()
             })
-            .collect();
+            .collect::<Vec<Vec<usize>>>();
+        let mut out_src = vec![None; output_schema.arity()];
+        for (i, positions) in out_positions.iter().enumerate() {
+            for (k, &p) in positions.iter().enumerate() {
+                out_src[p].get_or_insert((i as u32, k as u32));
+            }
+        }
+        let out_src = out_src
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| JoinError::Invalid("output attribute without a source".into()))?;
 
         Ok(Self {
             name: Arc::from(name.as_ref()),
@@ -144,6 +158,7 @@ impl JoinSpec {
             edges,
             output_schema,
             out_positions,
+            out_src,
         })
     }
 
@@ -229,6 +244,30 @@ impl JoinSpec {
     /// For relation `i`: positions of its attributes in the output schema.
     pub fn out_positions(&self, i: usize) -> &[usize] {
         &self.out_positions[i]
+    }
+
+    /// The output fill plan: for output position `p`, the
+    /// `(relation, column)` it is read from — the first relation in
+    /// spec order holding the attribute. Any claimant would do for an
+    /// accepted row combination, since it satisfies every equality of
+    /// the join; this one map is what every sampler and the union
+    /// layer read output cells through.
+    pub fn output_sources(&self) -> &[(u32, u32)] {
+        &self.out_src
+    }
+
+    /// Materializes one row combination (`rows[i]` = chosen row of
+    /// relation `i`) into an output tuple in output-schema order.
+    /// String cells are an `Arc` bump out of the column dictionary, so
+    /// the tuple's own vector is the only allocation.
+    pub fn materialize(&self, rows: &[u32]) -> Tuple {
+        let mut vals: Vec<Value> = Vec::with_capacity(self.out_src.len());
+        vals.extend(self.out_src.iter().map(|&(r, k)| {
+            self.relations[r as usize]
+                .column(k as usize)
+                .value(rows[r as usize] as usize)
+        }));
+        Tuple::new(vals)
     }
 
     /// The edge between relations `i` and `j`, if any.
@@ -385,6 +424,13 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["a", "b", "c", "d"]);
         assert_eq!(spec.out_positions(1), &[1, 2]);
+        // Each output attribute is read from the first relation holding
+        // it: `b` from r1, not r2; `c` from r2, not r3.
+        assert_eq!(spec.output_sources(), &[(0, 0), (0, 1), (1, 1), (2, 1)]);
+        assert_eq!(
+            spec.materialize(&[1, 1, 0]),
+            Tuple::new([2, 20, 200, 7].into_iter().map(Value::int).collect())
+        );
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl WanderJoin {
 
     /// Materializes a successful walk's rows into the output tuple.
     pub fn materialize(&self, draw: &RowDraw) -> Tuple {
-        self.prepared.materialize(draw.rows())
+        self.prepared.spec.materialize(draw.rows())
     }
 
     /// Performs one random walk, materializing the result tuple on

@@ -57,7 +57,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use suj_stats::{AliasArena, AliasArenaBuilder, SujRng};
-use suj_storage::{HashIndex, Tuple, Value, NO_KEY};
+use suj_storage::{HashIndex, Tuple, NO_KEY};
 
 /// Weight instantiation for the join-sampling subroutine (§3.2 lists
 /// all three: "extended Olken's, exact, and Wander Join").
@@ -271,10 +271,6 @@ pub(crate) struct Prepared {
     /// Whether the join graph was already a tree (no dropped equalities
     /// to re-check).
     pub(crate) exact_tree: bool,
-    /// Output fill plan: output position `p` is supplied by local
-    /// position `out_src[p].1` of relation `out_src[p].0` (the first
-    /// tree-order claimant).
-    out_src: Vec<(u32, u32)>,
     /// Equality constraints dropped by the spanning tree (cyclic specs
     /// only): `(rel_a, k_a, rel_b, k_b)` pairs whose values must agree
     /// in an accepted row combination.
@@ -313,21 +309,18 @@ impl Prepared {
             }
         }
 
-        // Output fill plan + dropped-equality checks.
-        let arity = spec.output_schema().arity();
-        let mut out_src = vec![(0u32, 0u32); arity];
-        let mut claimed = vec![false; arity];
+        // Dropped-equality checks: on a cyclic spec every other
+        // claimant of an output position must agree with the one the
+        // output is read from (`JoinSpec::output_sources`).
         let mut consistency = Vec::new();
-        for &v in tree.order() {
-            for (k, &p) in spec.out_positions(v).iter().enumerate() {
-                if claimed[p] {
-                    if !exact_tree {
-                        let (r0, k0) = out_src[p];
+        if !exact_tree {
+            let out_src = spec.output_sources();
+            for &v in tree.order() {
+                for (k, &p) in spec.out_positions(v).iter().enumerate() {
+                    let (r0, k0) = out_src[p];
+                    if (r0, k0) != (v as u32, k as u32) {
                         consistency.push((r0, k0, v as u32, k as u32));
                     }
-                } else {
-                    claimed[p] = true;
-                    out_src[p] = (v as u32, k as u32);
                 }
             }
         }
@@ -338,7 +331,6 @@ impl Prepared {
             indexes,
             edge_keys,
             exact_tree,
-            out_src,
             consistency,
         })
     }
@@ -375,23 +367,8 @@ impl Prepared {
         let edges: usize = self.edge_keys.iter().map(|e| e.len() * 4).sum();
         indexes
             + edges
-            + self.out_src.len() * std::mem::size_of::<(u32, u32)>()
+            + std::mem::size_of_val(self.spec.output_sources())
             + self.consistency.len() * std::mem::size_of::<(u32, u32, u32, u32)>()
-    }
-
-    /// Materializes a row combination into an output tuple, filling
-    /// each output position straight from the owning relation's column
-    /// (string cells are an `Arc` bump out of the column dictionary) —
-    /// the one acceptance-path allocation.
-    pub(crate) fn materialize(&self, rows: &[u32]) -> Tuple {
-        let mut vals: Vec<Value> = Vec::with_capacity(self.out_src.len());
-        vals.extend(self.out_src.iter().map(|&(r, k)| {
-            self.spec
-                .relation(r as usize)
-                .column(k as usize)
-                .value(rows[r as usize] as usize)
-        }));
-        Tuple::new(vals)
     }
 }
 
@@ -768,7 +745,7 @@ impl JoinSampler for ExactWeightSampler {
     }
 
     fn materialize(&self, draw: &RowDraw) -> Tuple {
-        self.prepared.materialize(&draw.rows)
+        self.prepared.spec.materialize(&draw.rows)
     }
 
     fn join_size_hint(&self) -> f64 {
@@ -898,7 +875,7 @@ impl JoinSampler for OlkenSampler {
     }
 
     fn materialize(&self, draw: &RowDraw) -> Tuple {
-        self.prepared.materialize(&draw.rows)
+        self.prepared.spec.materialize(&draw.rows)
     }
 
     fn join_size_hint(&self) -> f64 {
@@ -947,7 +924,7 @@ pub fn exact_join_size(spec: &JoinSpec) -> Result<f64, JoinError> {
 mod tests {
     use super::*;
     use crate::exec::execute;
-    use suj_storage::{FxHashMap, Relation, Schema};
+    use suj_storage::{FxHashMap, Relation, Schema, Value};
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Arc<Relation> {
         let schema = Schema::new(attrs.iter().copied()).unwrap();

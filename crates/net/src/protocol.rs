@@ -53,6 +53,7 @@
 use std::fmt;
 use std::io::{Read, Write};
 use suj_core::query::UnionQuery;
+use suj_core::rows::{DrawnBatch, RowBatch};
 use suj_core::snapshot::{decode_query, encode_query};
 use suj_storage::snapshot::{crc32, decode_column, encode_column, ByteReader, ByteWriter};
 use suj_storage::{ColumnBuilder, SnapshotError, Tuple};
@@ -341,15 +342,21 @@ pub fn decode_prepared(payload: &[u8]) -> Result<(u64, u64, String), NetError> {
     Ok((r.get_u64()?, r.get_u64()?, r.get_str()?.to_string()))
 }
 
-/// Encodes a tuple batch as columns: arity, attribute names, row
-/// count, then one storage-codec column per attribute.
-pub fn encode_batch(attrs: &[std::sync::Arc<str>], tuples: &[Tuple]) -> Vec<u8> {
+/// The `Batch` payload header: arity, attribute names, row count.
+fn batch_header(attrs: &[std::sync::Arc<str>], n_rows: usize) -> ByteWriter {
     let mut w = ByteWriter::new();
     w.put_u32(attrs.len() as u32);
     for a in attrs {
         w.put_str(a);
     }
-    w.put_u64(tuples.len() as u64);
+    w.put_u64(n_rows as u64);
+    w
+}
+
+/// Encodes a tuple batch as columns: arity, attribute names, row
+/// count, then one storage-codec column per attribute.
+pub fn encode_batch(attrs: &[std::sync::Arc<str>], tuples: &[Tuple]) -> Vec<u8> {
+    let mut w = batch_header(attrs, tuples.len());
     for (pos, _) in attrs.iter().enumerate() {
         let mut builder = ColumnBuilder::new();
         for t in tuples {
@@ -358,6 +365,23 @@ pub fn encode_batch(attrs: &[std::sync::Arc<str>], tuples: &[Tuple]) -> Vec<u8> 
         encode_column(&builder.finish(), &mut w);
     }
     w.into_bytes()
+}
+
+/// Encodes a row-id batch (`attrs` = its workload's canonical schema)
+/// straight from the base columns, without building a tuple: byte for
+/// byte the payload [`encode_batch`] writes for `rows.to_tuples()`.
+pub fn encode_rows(attrs: &[std::sync::Arc<str>], rows: &RowBatch) -> Vec<u8> {
+    let mut w = batch_header(attrs, rows.len());
+    rows.encode_columns(&mut w);
+    w.into_bytes()
+}
+
+/// Encodes a served batch in whichever form it arrived.
+pub fn encode_drawn(attrs: &[std::sync::Arc<str>], batch: &DrawnBatch) -> Vec<u8> {
+    match batch {
+        DrawnBatch::Rows(rows) => encode_rows(attrs, rows),
+        DrawnBatch::Tuples(tuples) => encode_batch(attrs, tuples),
+    }
 }
 
 /// Decodes a tuple batch back into attribute names and row tuples.

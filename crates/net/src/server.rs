@@ -42,7 +42,7 @@ use crate::faults::Conn;
 #[cfg(any(test, feature = "faults"))]
 use crate::faults::FaultPlan;
 use crate::protocol::{
-    decode_prepare, decode_sample, encode_batch, encode_busy, encode_error, encode_prepared,
+    decode_prepare, decode_sample, encode_busy, encode_drawn, encode_error, encode_prepared,
     encode_stats, parse_header, verify_payload, Frame, NetError, WireStats, ERR_BAD_REQUEST,
     ERR_DEADLINE, ERR_ENGINE, ERR_SHUTTING_DOWN, ERR_UNKNOWN_PREPARED, HEADER_LEN, OP_BATCH,
     OP_BUSY, OP_ERROR, OP_PREPARE, OP_PREPARED, OP_SAMPLE, OP_SHUTDOWN, OP_SHUTDOWN_ACK, OP_STATS,
@@ -571,13 +571,13 @@ fn handle_sample(id: u64, payload: &[u8], shared: &Shared) -> Frame {
             return error_frame(id, ERR_SHUTTING_DOWN, "worker pool is shut down")
         }
     };
-    match ticket.wait() {
+    match ticket.wait_batch() {
         Ok(response) => {
-            let attrs = prepared.workload().canonical_schema().attrs().to_vec();
+            let attrs = prepared.workload().canonical_schema().attrs();
             Frame {
                 opcode: OP_BATCH,
                 request_id: id,
-                payload: encode_batch(&attrs, &response.tuples),
+                payload: encode_drawn(attrs, &response.batch),
             }
         }
         Err(CoreError::DeadlineExceeded) => error_frame(

@@ -646,6 +646,9 @@ impl Column {
 #[derive(Debug)]
 pub struct ColumnBuilder {
     state: BuilderState,
+    /// [`push_pooled_str`](Self::push_pooled_str) memo: per source
+    /// pool, source code → this builder's code.
+    memo: Vec<(Arc<StrPool>, FxHashMap<u32, u32>)>,
 }
 
 #[derive(Debug)]
@@ -683,6 +686,7 @@ impl ColumnBuilder {
     pub fn new() -> Self {
         Self {
             state: BuilderState::Empty { nulls: 0 },
+            memo: Vec::new(),
         }
     }
 
@@ -821,6 +825,35 @@ impl ColumnBuilder {
         }
     }
 
+    /// Appends the string `code` of another column's dictionary
+    /// `pool` — the same cell [`push_arc_str`](Self::push_arc_str)
+    /// appends for `pool.get(code)`, but the `(pool, code)` → code
+    /// mapping is memoized, so a repeated cell costs one integer-keyed
+    /// lookup: no string hash, no `Arc` bump.
+    pub fn push_pooled_str(&mut self, pool: &Arc<StrPool>, code: u32) {
+        let BuilderState::Str {
+            codes,
+            pool: own,
+            validity,
+        } = &mut self.state
+        else {
+            return self.push_arc_str(pool.get(code));
+        };
+        let slot = match self.memo.iter().position(|(p, _)| Arc::ptr_eq(p, pool)) {
+            Some(slot) => slot,
+            None => {
+                self.memo.push((pool.clone(), FxHashMap::default()));
+                self.memo.len() - 1
+            }
+        };
+        let mapped = *self.memo[slot]
+            .1
+            .entry(code)
+            .or_insert_with(|| own.intern_arc(pool.get(code)));
+        codes.push(mapped);
+        validity.push(true);
+    }
+
     /// Appends a cell by value.
     pub fn push(&mut self, v: Value) {
         match v {
@@ -933,6 +966,80 @@ mod tests {
             b.push_ref(v);
         }
         b.finish()
+    }
+
+    /// Pooled pushes from two pools that code the same strings
+    /// differently build the column `push_arc_str` builds: the batch
+    /// dictionary is keyed by content, in order of first appearance,
+    /// and leading NULLs or a later demotion to `Mixed` behave alike.
+    #[test]
+    fn pooled_pushes_match_arc_pushes() {
+        let mut a = StrPool::new();
+        let mut b = StrPool::new();
+        for s in ["x", "y", "z"] {
+            a.intern(s);
+        }
+        for s in ["z", "x"] {
+            b.intern(s);
+        }
+        let (a, b) = (Arc::new(a), Arc::new(b));
+        let script: Vec<Option<(&Arc<StrPool>, u32)>> = vec![
+            None,
+            Some((&a, 1)),
+            Some((&b, 0)),
+            Some((&a, 2)),
+            None,
+            Some((&b, 1)),
+            Some((&a, 0)),
+            Some((&a, 1)),
+        ];
+        let mut pooled = ColumnBuilder::new();
+        let mut arcs = ColumnBuilder::new();
+        for step in &script {
+            match step {
+                None => {
+                    pooled.push_null();
+                    arcs.push_null();
+                }
+                Some((pool, code)) => {
+                    pooled.push_pooled_str(pool, *code);
+                    arcs.push_arc_str(pool.get(*code));
+                }
+            }
+        }
+        let (p, q) = (pooled.finish(), arcs.finish());
+        assert_eq!(p.kind(), q.kind());
+        let (
+            Column::Str {
+                codes: pc,
+                pool: pp,
+                ..
+            },
+            Column::Str {
+                codes: qc,
+                pool: qp,
+                ..
+            },
+        ) = (&p, &q)
+        else {
+            panic!("expected string columns");
+        };
+        assert_eq!(pc, qc);
+        assert!(pp.strings().eq(qp.strings()));
+        for i in 0..p.len() {
+            assert_eq!(p.value(i), q.value(i));
+        }
+
+        let mut pooled = ColumnBuilder::new();
+        pooled.push_pooled_str(&a, 0);
+        pooled.push_i64(3);
+        pooled.push_pooled_str(&b, 1);
+        let col = pooled.finish();
+        let reference = build(&[Value::str("x"), Value::int(3), Value::str("x")]);
+        assert_eq!(col.kind(), reference.kind());
+        for i in 0..3 {
+            assert_eq!(col.value(i), reference.value(i));
+        }
     }
 
     #[test]

@@ -109,8 +109,12 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables for the reflected IEEE polynomial: `table[0]` is
+/// the classic bytewise table, and `table[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight input bytes fold in with eight
+/// independent lookups.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -123,20 +127,47 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
 /// CRC-32 (IEEE 802.3 polynomial) of `bytes` — the per-section
-/// checksum. Implemented locally; no external crates.
+/// checksum and the wire frames' payload checksum. Slice-by-8: eight
+/// bytes per step through eight lookup tables, then the tail bytewise;
+/// the output is the standard CRC-32. Implemented locally; no external
+/// crates.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -1086,6 +1117,40 @@ mod tests {
         // The classic IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Slice-by-8 must agree with the plain bytewise CRC on every
+    /// length (both sides of each 8-byte chunk boundary) and at every
+    /// alignment of the input slice.
+    #[test]
+    fn crc32_matches_bytewise_reference() {
+        fn bytewise(bytes: &[u8]) -> u32 {
+            let mut crc = u32::MAX;
+            for &b in bytes {
+                crc ^= b as u32;
+                for _ in 0..8 {
+                    crc = if crc & 1 != 0 {
+                        (crc >> 1) ^ 0xEDB8_8320
+                    } else {
+                        crc >> 1
+                    };
+                }
+            }
+            !crc
+        }
+        let data: Vec<u8> = (0..1024 + 8u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=1024 {
+                let slice = &data[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    bytewise(slice),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
     }
 
     #[test]
